@@ -95,11 +95,6 @@ def logdet(m, eps_pivot=EPS_PIVOT):
     return complex(re, im)
 
 
-def det_from_logdet(ld):
-    """exp of a logdet pair; safe only when |Re ld| is moderate."""
-    return np.exp(ld)
-
-
 def solve(a, b, eps_pivot=EPS_PIVOT, err=SingularBlock):
     """Solve a x = b with an explicit pivot-magnitude singularity check."""
     a = as_complex_matrix(a, "a")

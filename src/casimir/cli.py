@@ -259,8 +259,6 @@ def cmd_plane(args, cfg):
     medium = material_from_dict(cfg.get("medium", "vacuum"))
     quad = _quad_from(cfg, args)
     lengths = _sweep_from(cfg)
-    warnings = []
-    failed = False
 
     def point(L):
         sys_ = PlaneSystem(mat1, mat2, medium, float(L))
@@ -271,16 +269,16 @@ def cmd_plane(args, cfg):
             res = exc.result
             flag = "not_converged"
         ideal = float(ideal_energy_per_area(L))
-        return [float(L), res.value, res.value / ideal, res.error_estimate, flag]
+        row = [float(L), res.value, res.value / ideal, res.error_estimate, flag]
+        return row, res.metadata["warnings"]
 
-    rows = _map_points(point, lengths)
-    for row in rows:
-        if row[-1]:
-            failed = True
-            warnings.append(f"L={row[0]:.3e}: {row[-1]}")
+    points = _map_points(point, lengths)
+    rows = [row for row, _ in points]
+    # each result's own warnings, "not converged" included
+    warnings = [f"L={row[0]:.3e}: {w}" for row, ws in points for w in ws]
     columns = ["L", "energy_per_area", "ratio_to_ideal", "error_estimate", "flag"]
     _emit(args, {"config_echo": cfg, "warnings": warnings}, columns, rows)
-    return 3 if failed else 0
+    return 3 if any(row[-1] for row in rows) else 0
 
 
 def cmd_sphere(args, cfg):

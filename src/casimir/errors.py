@@ -40,7 +40,7 @@ class BranchJump(CasimirError):
 
 
 class BranchRisk(CasimirError):
-    """Spectral radius estimate of the round-trip matrix is >= 1.
+    """Spectral radius of the round-trip matrix is >= 1.
 
     log det(1 - M) is no longer guaranteed branch-safe.
     """

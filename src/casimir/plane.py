@@ -17,11 +17,18 @@ shell. Both paths agree channel by channel, which is checked in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import C_LIGHT, HBAR, EnergyResult, QuadratureSpec, gauss_legendre_01
+from .core import (
+    C_LIGHT,
+    HBAR,
+    EnergyResult,
+    QuadratureSpec,
+    gauss_legendre_01,
+    refine_order,
+)
 from .errors import DomainError, NotConverged, OscillatoryFailure
 from .materials import (
     MaterialModel,
@@ -68,6 +75,8 @@ class PlaneSystem:
     def __post_init__(self):
         if self.L <= 0:
             raise DomainError("separation must be > 0")
+        if isinstance(self.medium, PerfectMirror):
+            raise DomainError("the medium cannot be a perfect mirror")
 
 
 def _sqrt_im_pos(z):
@@ -76,42 +85,49 @@ def _sqrt_im_pos(z):
     return np.where(s.imag < 0, -s, s)
 
 
-def kappa_imag_axis(medium, xi, q):
-    """Transverse decay constant kappa = sqrt(eps(i xi) xi^2/c^2 + q^2)."""
-    return np.sqrt(eps_imag_axis(medium, xi) * (xi / C_LIGHT) ** 2 + np.asarray(q) ** 2)
+def _eps_k(mat, freq, q_sq, real):
+    """Permittivity and normal wavevector of ``mat``.
+
+    At imaginary frequency xi: kappa = sqrt(eps(i xi) xi^2/c^2 + q^2), real.
+    At real frequency w: kz = sqrt(eps(w) w^2/c^2 - q^2) with Im kz >= 0,
+    complex. Continuing w -> i xi turns kz into i kappa.
+    """
+    if real:
+        eps = np.asarray(eps_real_axis(mat, freq), dtype=complex)
+        return eps, _sqrt_im_pos(eps * (freq / C_LIGHT) ** 2 - q_sq)
+    eps = eps_imag_axis(mat, freq)
+    return eps, np.sqrt(eps * (freq / C_LIGHT) ** 2 + q_sq)
+
+
+def _fresnel(mat, em, km, freq, q_sq, real):
+    """(r_TE, r_TM) of a half-space of ``mat`` seen from a medium with
+    permittivity ``em`` and wavevector ``km`` (from ``_eps_k``):
+
+        r_TE = (k_m - k_p) / (k_m + k_p)
+        r_TM = (eps_p k_m - eps_m k_p) / (eps_p k_m + eps_m k_p)
+
+    Both ratios are homogeneous of degree zero in (k_m, k_p), so kappa on
+    the imaginary axis and kz = i kappa on the real axis give the same
+    amplitude; the dtype of ``km`` (float or complex) is kept. A perfect
+    mirror gives exactly (-1, +1) on either axis.
+    """
+    if isinstance(mat, PerfectMirror):
+        return -1.0, 1.0
+    ep, kp = _eps_k(mat, freq, q_sq, real)
+    return (km - kp) / (km + kp), (ep * km - em * kp) / (ep * km + em * kp)
 
 
 def fresnel_r(mat, medium, ch: PlaneChannel):
-    """Fresnel reflection amplitude of a half-space seen from the medium.
-
-    Imaginary axis: with kappa_m/p = sqrt(eps_{m/p} xi^2/c^2 + q^2),
-
-        r_TE = (kappa_m - kappa_p) / (kappa_m + kappa_p)
-        r_TM = (eps_p kappa_m - eps_m kappa_p) / (eps_p kappa_m + eps_m kappa_p)
-
-    and the result is real. Real axis: the analytic continuation with
-    kz = sqrt(eps w^2/c^2 - q^2), Im kz >= 0. A perfect mirror gives
-    exactly (-1, +1) for (TE, TM) on either axis.
+    """Fresnel reflection amplitude of a half-space seen from the medium;
+    real on the imaginary axis, complex on the real axis (see ``_fresnel``).
     """
     if isinstance(medium, PerfectMirror):
         raise DomainError("the medium cannot be a perfect mirror")
-    if isinstance(mat, PerfectMirror):
-        return -1.0 if ch.pol == "TE" else 1.0
-    if ch.xi > 0:
-        em = eps_imag_axis(medium, ch.xi)
-        ep = eps_imag_axis(mat, ch.xi)
-        km = kappa_imag_axis(medium, ch.xi, ch.q)
-        kp = np.sqrt(ep * (ch.xi / C_LIGHT) ** 2 + ch.q**2)
-        if ch.pol == "TE":
-            return float((km - kp) / (km + kp))
-        return float((ep * km - em * kp) / (ep * km + em * kp))
-    em = eps_real_axis(medium, ch.omega)
-    ep = eps_real_axis(mat, ch.omega)
-    km = complex(_sqrt_im_pos(em * (ch.omega / C_LIGHT) ** 2 - ch.q**2))
-    kp = complex(_sqrt_im_pos(ep * (ch.omega / C_LIGHT) ** 2 - ch.q**2))
-    if ch.pol == "TE":
-        return (km - kp) / (km + kp)
-    return (ep * km - em * kp) / (ep * km + em * kp)
+    real = ch.omega > 0
+    freq = ch.omega if real else ch.xi
+    em, km = _eps_k(medium, freq, ch.q**2, real)
+    r = _fresnel(mat, em, km, freq, ch.q**2, real)[POLARIZATIONS.index(ch.pol)]
+    return complex(r) if real else float(r)
 
 
 def translation_factor(medium, ch: PlaneChannel, L):
@@ -122,11 +138,9 @@ def translation_factor(medium, ch: PlaneChannel, L):
     """
     if L < 0:
         raise DomainError("separation must be >= 0")
-    if ch.xi > 0:
-        return float(np.exp(-kappa_imag_axis(medium, ch.xi, ch.q) * L))
-    em = eps_real_axis(medium, ch.omega)
-    kz = complex(_sqrt_im_pos(em * (ch.omega / C_LIGHT) ** 2 - ch.q**2))
-    return complex(np.exp(1j * kz * L))
+    real = ch.omega > 0
+    _, km = _eps_k(medium, ch.omega if real else ch.xi, ch.q**2, real)
+    return complex(np.exp(1j * km * L)) if real else float(np.exp(-km * L))
 
 
 def ideal_energy_per_area(L):
@@ -134,15 +148,20 @@ def ideal_energy_per_area(L):
     return -np.pi**2 * HBAR * C_LIGHT / (720.0 * np.asarray(L, dtype=float) ** 3)
 
 
-def _fresnel_imag_grid(mat, em, km, xi_col, q_sq):
-    """Vectorized (n_xi, n_q) imaginary-axis Fresnel amplitudes."""
-    if isinstance(mat, PerfectMirror):
-        return -1.0, 1.0
-    ep = np.asarray(eps_imag_axis(mat, xi_col[:, 0]))[:, None]
-    kp = np.sqrt(ep * (xi_col / C_LIGHT) ** 2 + q_sq)
-    rte = (km - kp) / (km + kp)
-    rtm = (ep * km - em * kp) / (ep * km + em * kp)
-    return rte, rtm
+def _result(sys: PlaneSystem, value, err, history, converged=True, **meta):
+    """EnergyResult with the metadata both axes share: the doubled
+    ``orders``, ``warnings`` and the keyword entries (``axis`` and so on)."""
+    warnings = []
+    if sys.L < 1e-9:
+        warnings.append("separation below 1 nm: continuum dielectric models are suspect")
+    if not converged:
+        warnings.append("not converged")
+    orders = [order for order, _ in history]
+    return EnergyResult(
+        value=value,
+        error_estimate=err,
+        metadata={"orders": orders, "warnings": warnings, **meta},
+    )
 
 
 def lifshitz_integrand(sys: PlaneSystem, xi, q):
@@ -150,12 +169,10 @@ def lifshitz_integrand(sys: PlaneSystem, xi, q):
     (xi, q) grid; broadcast as (n_xi, n_q). Non-positive for identical
     passive mirrors."""
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
-    q_row = np.atleast_1d(np.asarray(q, dtype=float))[None, :]
-    q_sq = q_row**2
-    em = np.asarray(eps_imag_axis(sys.medium, xi_col[:, 0]))[:, None]
-    km = np.sqrt(em * (xi_col / C_LIGHT) ** 2 + q_sq)
-    r1te, r1tm = _fresnel_imag_grid(sys.mat1, em, km, xi_col, q_sq)
-    r2te, r2tm = _fresnel_imag_grid(sys.mat2, em, km, xi_col, q_sq)
+    q_sq = np.atleast_1d(np.asarray(q, dtype=float))[None, :] ** 2
+    em, km = _eps_k(sys.medium, xi_col, q_sq, real=False)
+    r1te, r1tm = _fresnel(sys.mat1, em, km, xi_col, q_sq, real=False)
+    r2te, r2tm = _fresnel(sys.mat2, em, km, xi_col, q_sq, real=False)
     damp = np.exp(-2.0 * km * sys.L)
     return np.log1p(-r1te * r2te * damp) + np.log1p(-r1tm * r2tm * damp)
 
@@ -167,8 +184,8 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
           sum_pol log(1 - r1 r2 e^{-2 kappa_m L})
 
     Both integrals use the substitution x = s u/(1-u) with Gauss-Legendre
-    nodes in u; the orders double together until the relative change is
-    below ``quad.tol``.
+    nodes in u; ``refine_order`` doubles the two orders together until the
+    relative change is below ``quad.tol``.
 
     Returns
     -------
@@ -181,68 +198,35 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
         With the best EnergyResult attached, if the doubling budget is
         exhausted first.
     """
-    warnings = []
-    if sys.L < 1e-9:
-        warnings.append("separation below 1 nm: continuum dielectric models are suspect")
     s_xi = C_LIGHT / sys.L
     s_q = 1.0 / sys.L
-    prev = None
-    value = None
-    err = np.inf
-    order = quad.base_order
-    orders = []
-    for _ in range(quad.max_doublings + 1):
-        u, wu = gauss_legendre_01(order)
+
+    def evaluate(u, wu):
         xi = s_xi * u / (1.0 - u)
         jxi = s_xi * wu / (1.0 - u) ** 2
         q = s_q * u / (1.0 - u)
         jq = s_q * wu / (1.0 - u) ** 2
-        grid = lifshitz_integrand(sys, xi, q)
-        inner = grid @ (jq * q)
-        value = HBAR / (4 * np.pi**2) * float(jxi @ inner)
-        orders.append(order)
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= quad.tol * max(abs(value), 1e-300):
-                return EnergyResult(
-                    value=value,
-                    error_estimate=err,
-                    metadata={"orders": orders, "axis": "imaginary", "warnings": warnings},
-                )
-        prev = value
-        order *= 2
-    best = EnergyResult(
-        value=value,
-        error_estimate=err,
-        metadata={
-            "orders": orders,
-            "axis": "imaginary",
-            "warnings": warnings + ["not converged"],
-        },
-    )
-    raise NotConverged(
-        f"plane energy quadrature not converged (last change {err:.3e})", result=best
-    )
+        inner = lifshitz_integrand(sys, xi, q) @ (jq * q)
+        return HBAR / (4 * np.pi**2) * float(jxi @ inner)
+
+    try:
+        value, err, history = refine_order(evaluate, quad, "plane energy quadrature")
+    except NotConverged as exc:
+        best = _result(sys, *exc.result, converged=False, axis="imaginary")
+        raise NotConverged(str(exc), result=best) from None
+    return _result(sys, value, err, history, axis="imaginary")
 
 
 def _real_axis_channel_values(sys: PlaneSystem, q, pol, omega):
     """Im log(1 - r1 r2 e^{2 i kz L}) for an array of real frequencies at
     fixed transverse momentum."""
     w = np.asarray(omega, dtype=float)
-    em = np.asarray(eps_real_axis(sys.medium, w), dtype=complex)
-    kzm = _sqrt_im_pos(em * (w / C_LIGHT) ** 2 - q**2)
-    rs = []
-    for mat in (sys.mat1, sys.mat2):
-        if isinstance(mat, PerfectMirror):
-            rs.append(np.full_like(w, -1.0 if pol == "TE" else 1.0, dtype=complex))
-            continue
-        ep = np.asarray(eps_real_axis(mat, w), dtype=complex)
-        kzp = _sqrt_im_pos(ep * (w / C_LIGHT) ** 2 - q**2)
-        if pol == "TE":
-            rs.append((kzm - kzp) / (kzm + kzp))
-        else:
-            rs.append((ep * kzm - em * kzp) / (ep * kzm + em * kzp))
-    return np.log(1.0 - rs[0] * rs[1] * np.exp(2j * kzm * sys.L)).imag
+    q_sq = q**2
+    em, kzm = _eps_k(sys.medium, w, q_sq, real=True)
+    i = POLARIZATIONS.index(pol)
+    r1 = _fresnel(sys.mat1, em, kzm, w, q_sq, real=True)[i]
+    r2 = _fresnel(sys.mat2, em, kzm, w, q_sq, real=True)[i]
+    return np.log(1.0 - r1 * r2 * np.exp(2j * kzm * sys.L)).imag
 
 
 def _adaptive_panels(f, edges, rel_tol, abs_floor, max_rounds=40):
@@ -356,44 +340,26 @@ def energy_per_area_real_axis(
         tail = abs(float(probe[0])) * omega_max / 3.0
         return total, err + tail
 
-    prev = None
-    value = None
-    err_total = np.inf
-    order = quad.base_order
-    orders = []
-    tol = max(quad.tol, 1e-4)
-    q_tail = 0.0
-    for _ in range(quad.max_doublings + 1):
-        v, wv = gauss_legendre_01(order)
+    # cut-off remainder, from the exponential model inner ~ e^{-2qL}; it
+    # does not depend on the quadrature order
+    edge, _ = inner(q_max)
+    q_tail = HBAR / (4 * np.pi**2) * abs(edge) * (q_max / (2 * L) + 1 / (4 * L**2))
+    inner_errs = []
+
+    def evaluate(v, wv):
         q = q_max * v
         jq = q_max * wv
-        inner_vals = np.empty(order)
-        inner_errs = np.empty(order)
-        for i, qi in enumerate(q):
-            inner_vals[i], inner_errs[i] = inner(qi)
-        value = HBAR / (4 * np.pi**2) * float(np.sum(jq * q * inner_vals))
-        # cut-off remainder, from the exponential model inner ~ e^{-2qL}
-        edge, _ = inner(q_max)
-        q_tail = (
-            HBAR / (4 * np.pi**2) * abs(edge) * (q_max / (2 * L) + 1 / (4 * L**2))
+        vals, errs = np.array([inner(qi) for qi in q]).T
+        inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq * q * errs)))
+        return HBAR / (4 * np.pi**2) * float(np.sum(jq * q * vals))
+
+    meta = {"axis": "real", "omega_max": omega_max}
+    try:
+        value, err, history = refine_order(
+            evaluate, replace(quad, tol=max(quad.tol, 1e-4)), "real-axis energy"
         )
-        orders.append(order)
-        if prev is not None:
-            err_total = abs(value - prev)
-            if err_total <= tol * max(abs(value), 1e-300):
-                inner_err = HBAR / (4 * np.pi**2) * float(np.sum(jq * q * inner_errs))
-                return EnergyResult(
-                    value=value,
-                    error_estimate=err_total + inner_err + q_tail,
-                    metadata={"orders": orders, "axis": "real", "omega_max": omega_max},
-                )
-        prev = value
-        order *= 2
-    best = EnergyResult(
-        value=value,
-        error_estimate=err_total + q_tail,
-        metadata={"orders": orders, "axis": "real", "warnings": ["not converged"]},
-    )
-    raise NotConverged(
-        f"real-axis energy not converged (last change {err_total:.3e})", result=best
-    )
+    except NotConverged as exc:
+        value, err, history = exc.result
+        best = _result(sys, value, err + q_tail, history, converged=False, **meta)
+        raise NotConverged(str(exc), result=best) from None
+    return _result(sys, value, err + inner_errs[-1] + q_tail, history, **meta)

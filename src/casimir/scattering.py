@@ -127,14 +127,12 @@ class RoundTrip:
 
     D12: np.ndarray
     D21: np.ndarray
-    spectral_radius_estimate: float
 
 
 def round_trip(s1_ii, s2_ii):
     """Round-trip resolvents D12 = (1 - S2ii S1ii)^-1 and D21 = (1 - S1ii S2ii)^-1.
 
-    Their determinants coincide (Sylvester); the spectral radius estimate of
-    S2ii S1ii is included for diagnostics.
+    Their determinants coincide (Sylvester).
 
     Raises
     ------
@@ -145,12 +143,10 @@ def round_trip(s1_ii, s2_ii):
     b = as_complex_matrix(s2_ii, "S2ii")
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ChannelMismatch("internal blocks must be square with equal size")
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(a.shape[0])
     d12 = blockmat.solve(eye - b @ a, eye, err=ResonantSingular)
     d21 = blockmat.solve(eye - a @ b, eye, err=ResonantSingular)
-    rho = float(np.max(np.abs(np.linalg.eigvals(b @ a)))) if n else 0.0
-    return RoundTrip(D12=d12, D21=d21, spectral_radius_estimate=rho)
+    return RoundTrip(D12=d12, D21=d21)
 
 
 def round_trip_series(s1_ii, s2_ii, terms):

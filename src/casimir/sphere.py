@@ -91,10 +91,6 @@ class SphereSystem:
         return max(5, int(np.ceil(10.0 * max(self.R1, self.R2) / self.gap)))
 
 
-def _lngamma(x):
-    return math.lgamma(x)
-
-
 def wigner3j(j1, j2, j3, m1, m2, m3):
     """Wigner 3j symbol by the Racah sum with log-factorials.
 
@@ -108,7 +104,7 @@ def wigner3j(j1, j2, j3, m1, m2, m3):
         return 0.0
 
     def lnfac(n):
-        return _lngamma(n + 1)
+        return math.lgamma(n + 1)
 
     pref = 0.5 * (
         lnfac(j1 + j2 - j3)
@@ -283,7 +279,7 @@ def _safe_w_floor(lmax):
     clamped region carries a vanishing share of the integral.
     """
     lam = 2 * lmax + 1
-    ln_dfact = _lngamma(2 * lam) - _lngamma(lam + 1) - (lam - 1) * math.log(2.0)
+    ln_dfact = math.lgamma(2 * lam) - math.lgamma(lam + 1) - (lam - 1) * math.log(2.0)
     return math.exp((ln_dfact - 280.0 * math.log(10.0)) / (lam + 1))
 
 
@@ -311,7 +307,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax):
         t12 = np.block([[a12, c12], [c12, a12]])
         t21 = np.block([[a12 * par, -c12 * par], [-c12 * par, a12 * par]])
         mm = (r1[:, None] * t12) @ (r2[:, None] * t21) * damp
-        ld = log_det_one_minus(mm, branch_check=False)
+        ld = log_det_one_minus(mm)
         weight = 1.0 if m == 0 else 2.0
         total += weight * ld.real
     return total

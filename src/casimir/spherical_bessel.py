@@ -60,15 +60,6 @@ def sk_array(lmax, x):
     return out
 
 
-def spherical_in(lmax, x):
-    """Unscaled i_l(x), l = 0..lmax; overflows for x beyond ~700."""
-    return si_array(lmax, x) * np.exp(x)
-
-def spherical_kn(lmax, x):
-    """Unscaled k_l(x), l = 0..lmax; underflows for x beyond ~700."""
-    return sk_array(lmax, x) * np.exp(-x)
-
-
 def riccati_si(lmax, x):
     """Scaled Riccati pair for the regular solution.
 

@@ -115,6 +115,17 @@ class TestPlane:
         payload = json.loads(out.read_text())
         assert set(payload) >= {"config_echo", "rows", "warnings"}
 
+    def test_result_warnings_reach_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"L_min": 5e-10, "points": 1}}))
+        out = tmp_path / "plane.json"
+        assert run_cli(["plane", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        warnings = json.loads(out.read_text())["warnings"]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("L=5.000e-10: separation below 1 nm")
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

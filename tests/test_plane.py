@@ -12,6 +12,7 @@ from casimir.plane import (
     PlaneChannel,
     PlaneSystem,
     _adaptive_panels,
+    _real_axis_channel_values,
     energy_per_area,
     energy_per_area_real_axis,
     fresnel_r,
@@ -57,6 +58,12 @@ class TestFresnel:
                 for qL in (0.0, 1.0, 10.0):
                     ch = PlaneChannel(qL / 1e-6, "TM", xi=xi)
                     assert abs(fresnel_r(mat, VACUUM, ch)) <= 1 + 1e-12
+
+    def test_perfect_mirror_medium_rejected(self):
+        with pytest.raises(DomainError):
+            PlaneSystem(GOLD, GOLD, medium=PerfectMirror(), L=1e-6)
+        with pytest.raises(DomainError):
+            fresnel_r(GOLD, PerfectMirror(), PlaneChannel(1e6, "TE", xi=1e15))
 
     def test_channel_validation(self):
         with pytest.raises(DomainError):
@@ -166,6 +173,24 @@ class TestEnergyPerArea:
         expected = 2 * np.log1p(-np.exp(-2 * km * 1e-6))
         assert grid == pytest.approx(expected, rel=1e-13)
 
+    def test_integrand_matches_scalar_channel_api(self):
+        # the (xi, q) grid against the public per-channel amplitudes
+        medium = ConstantEps(1.8)
+        sys_ = PlaneSystem(GOLD, Plasma(GOLD.omega_p), medium, 200e-9)
+        xi = np.array([3e13, 8e14, 2e16])
+        q = np.array([0.0, 2e6, 4e7])
+        grid = lifshitz_integrand(sys_, xi, q)
+        for i, x in enumerate(xi):
+            for j, k in enumerate(q):
+                expected = 0.0
+                for pol in ("TE", "TM"):
+                    ch = PlaneChannel(k, pol, xi=x)
+                    r1 = fresnel_r(sys_.mat1, medium, ch)
+                    r2 = fresnel_r(sys_.mat2, medium, ch)
+                    t = translation_factor(medium, ch, sys_.L)
+                    expected += np.log1p(-r1 * r2 * t**2)
+                assert grid[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
     def test_small_separation_warns(self):
         sys_ = PlaneSystem(PerfectMirror(), PerfectMirror(), VACUUM, 5e-10)
         res = energy_per_area(sys_)
@@ -228,6 +253,21 @@ class TestRealAxis:
         with pytest.raises(DomainError):
             energy_per_area_real_axis(sys_, omega_max=1e16)
 
+    def test_channel_values_match_scalar_channel_api(self):
+        # propagating and evanescent channels in a lossy medium
+        medium = Drude(5e15, 8e13)
+        sys_ = PlaneSystem(GOLD, Drude(9e15, 2e14), medium, 200e-9)
+        omega = np.array([3e14, 2e15, 1e16, 4e16])
+        for q in (0.0, 5e6, 8e7):
+            for pol in ("TE", "TM"):
+                vals = _real_axis_channel_values(sys_, q, pol, omega)
+                for w, v in zip(omega, vals):
+                    ch = PlaneChannel(q, pol, omega=w)
+                    r1 = fresnel_r(sys_.mat1, medium, ch)
+                    r2 = fresnel_r(sys_.mat2, medium, ch)
+                    t = translation_factor(medium, ch, sys_.L)
+                    assert v == pytest.approx(np.log(1 - r1 * r2 * t**2).imag, abs=1e-13)
+
     def test_oscillatory_failure_at_depth_limit(self):
         from casimir.errors import OscillatoryFailure
 
@@ -237,3 +277,39 @@ class TestRealAxis:
         edges = np.linspace(1.0, 2.0, 3)
         with pytest.raises(OscillatoryFailure):
             _adaptive_panels(f, edges, rel_tol=1e-14, abs_floor=0.0, max_rounds=1)
+
+
+class TestMetadataSchema:
+    SHAPE = {"orders", "axis", "warnings"}
+
+    def _both_outcomes(self, run, quad_ok, quad_fail):
+        ok = run(quad_ok)
+        with pytest.raises(NotConverged) as err:
+            run(quad_fail)
+        return ok.metadata, err.value.result.metadata
+
+    def test_imaginary_axis(self):
+        sys_ = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
+        ok, bad = self._both_outcomes(
+            lambda quad: energy_per_area(sys_, quad),
+            QuadratureSpec(base_order=16, tol=1e-3),
+            QuadratureSpec(base_order=8, max_doublings=0),
+        )
+        for meta in (ok, bad):
+            assert set(meta) == self.SHAPE and meta["axis"] == "imaginary"
+        assert ok["warnings"] == [] and bad["warnings"] == ["not converged"]
+        assert bad["orders"] == [8]
+
+    def test_real_axis(self):
+        sys_ = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
+        w_max = 2 * GOLD.omega_p
+        ok, bad = self._both_outcomes(
+            lambda quad: energy_per_area_real_axis(sys_, w_max, quad),
+            QuadratureSpec(base_order=8, tol=0.5, max_doublings=1),
+            QuadratureSpec(base_order=8, max_doublings=0),
+        )
+        for meta in (ok, bad):
+            assert set(meta) == self.SHAPE | {"omega_max"}
+            assert meta["axis"] == "real" and meta["omega_max"] == w_max
+        assert ok["warnings"] == [] and bad["warnings"] == ["not converged"]
+        assert ok["orders"] == [8, 16] and bad["orders"] == [8]
