@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import as_complex_matrix
 from .errors import BranchRisk, NotConverged
 
 HBAR = 1.054571817e-34  # J s
@@ -25,18 +24,36 @@ def log_det_one_minus(m):
     branch-safe by construction. For the Hermitian-symmetric problems that
     arise on the imaginary frequency axis the result is real and <= 0.
 
+    ``m`` is one square matrix or a stack of shape (..., n, n). A stack is
+    validated once and goes through one stacked ``eigvals``; real input
+    stays real. Returns a complex for one matrix and a complex array of
+    shape ``m.shape[:-2]`` for a stack.
+
     Raises
     ------
+    ValueError
+        If the matrices are not square or an entry is not finite.
     BranchRisk
-        If the spectral radius, the largest of the exact eigenvalue moduli,
-        reaches 1 - 1e-9.
+        If the spectral radius of any matrix, the largest of its exact
+        eigenvalue moduli, reaches 1 - 1e-9.
     """
-    m = as_complex_matrix(m)
-    lam = np.linalg.eigvals(m)
-    rho_exact = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if rho_exact >= 1 - 1e-9:
-        raise BranchRisk(f"spectral radius {rho_exact:.12f} >= 1")
-    return complex(np.sum(np.log(1.0 - lam)))
+    m = np.asarray(m)
+    if not np.iscomplexobj(m):
+        m = m.astype(float, copy=False)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
+    # complex even when every eigenvalue of a real stack is real, so that
+    # a matrix's logs do not depend on the other matrices of its stack
+    lam = np.linalg.eigvals(m).astype(complex, copy=False)
+    rho = np.max(np.abs(lam), axis=-1)
+    if np.any(rho >= 1 - 1e-9):
+        worst = np.unravel_index(np.argmax(rho), rho.shape)
+        where = f" (matrix {worst} of the stack)" if rho.ndim else ""
+        raise BranchRisk(f"spectral radius {rho[worst]:.12f} >= 1{where}")
+    out = np.sum(np.log(1.0 - lam), axis=-1)
+    return complex(out) if m.ndim == 2 else out
 
 
 @dataclass(frozen=True)

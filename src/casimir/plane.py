@@ -138,6 +138,8 @@ def translation_factor(medium, ch: PlaneChannel, L):
     """
     if L < 0:
         raise DomainError("separation must be >= 0")
+    if isinstance(medium, PerfectMirror):
+        raise DomainError("the medium cannot be a perfect mirror")
     real = ch.omega > 0
     _, km = _eps_k(medium, ch.omega if real else ch.xi, ch.q**2, real)
     return complex(np.exp(1j * km * L)) if real else float(np.exp(-km * L))

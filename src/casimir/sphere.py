@@ -24,10 +24,12 @@ combination is what the dipole-asymptote energy test pins down.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .core import (
     C_LIGHT,
@@ -42,6 +44,8 @@ from .materials import MaterialModel, Medium, PerfectMirror, VACUUM, eps_imag_ax
 from .spherical_bessel import riccati_si, riccati_sk, sk_array
 
 POL_TYPES = ("E", "M")
+# silent events of a sphere energy, counted in its metadata
+SPHERE_EVENTS = ("xi_clamped", "mie_zeroed")
 
 
 @dataclass(frozen=True)
@@ -182,14 +186,23 @@ def _axial_coeff_tensors(lmax, m):
     return lmin, cA, cC
 
 
+def _contract(coeff, sk):
+    """sum_lam coeff[l', l, lam] sk[node, lam] as a (nodes, n, n) stack.
+
+    Calls BLAS dgemm for any number of nodes (numpy's matmul takes gemv for
+    a single one), so a node's sums are the same bits whichever nodes share
+    its slice."""
+    n = coeff.shape[0]
+    flat = coeff.reshape(n * n, -1)
+    return dgemm(1.0, flat.T, sk.T, trans_a=True).T.reshape(-1, n, n)
+
+
 def _translation_blocks_scaled(lmax, m, w):
     """(A, C) blocks of the +z translation with the e^w scaling factored
     out (entries are Sum c_lam sk_lam(w), sk = e^w k)."""
     lmin, cA, cC = _axial_coeff_tensors(lmax, abs(m))
-    sk = sk_array(2 * lmax + 1, w)
-    a = cA @ sk
-    c = cC @ sk
-    return lmin, a, c
+    sk = sk_array(2 * lmax + 1, w)[None]
+    return lmin, _contract(cA, sk)[0], _contract(cC, sk)[0]
 
 
 def translation_block(lmax, m, xi, L, direction=+1):
@@ -212,44 +225,53 @@ def translation_block(lmax, m, xi, L, direction=+1):
         raise DomainError("|m| must not exceed lmax")
     w = xi * L / C_LIGHT
     lmin, a, c = _translation_blocks_scaled(lmax, m, w)
-    damp = np.exp(-w)
-    a = a * damp
-    c = c * damp
-    if direction < 0:
-        ls = np.arange(lmin, lmax + 1)
-        par = (-1.0) ** (ls[:, None] + ls[None, :])
-        a = a * par
-        c = -c * par
-    return np.block([[a, c], [c, a]])
+    block = np.block([[a, c], [c, a]]) * np.exp(-w)
+    return block * _reverse_signs(lmin, lmax) if direction < 0 else block
 
 
-def _mie_scaled(mat, R, xi, lmax):
+def _reverse_signs(lmin, lmax):
+    """Signs that turn a +z translation block into the -z one:
+    (-1)^(l+l') on the same-polarization blocks, -(-1)^(l+l') on the
+    polarization-mixing ones."""
+    ls = np.arange(lmin, lmax + 1)
+    par = (-1.0) ** (ls[:, None] + ls[None, :])
+    return np.block([[par, -par], [-par, par]])
+
+
+def _mie_scaled(mat, R, xi, lmax, events=None):
     """Scaled reflection amplitudes (a_l e^{-2x}, b_l e^{-2x}) for
-    l = 1..lmax at imaginary frequency xi."""
+    l = 1..lmax at imaginary frequency xi (a scalar or an array of nodes;
+    l runs along the last axis). Non-finite amplitudes are set to 0 and
+    counted in ``events["mie_zeroed"]`` when ``events`` is given."""
+    xi = np.asarray(xi, dtype=float)
     x = xi * R / C_LIGHT
-    ss_x, sds_x = riccati_si(lmax, x)
-    sc_x, sdc_x = riccati_sk(lmax, x)
-    ls = np.arange(lmax + 1)
-    sign = (-1.0) ** ls * (np.pi / 2.0)
-    if isinstance(mat, PerfectMirror):
-        a = sign * sds_x / sdc_x
-        b = sign * ss_x / sc_x
-        return a[1:], b[1:]
-    eps = float(eps_imag_axis(mat, xi))
-    nref = np.sqrt(eps)
-    ss_n, sds_n = riccati_si(lmax, nref * x)
-    num_a = nref * ss_n * sds_x - ss_x * sds_n
-    den_a = nref * ss_n * sdc_x - sc_x * sds_n
-    num_b = ss_n * sds_x - nref * ss_x * sds_n
-    den_b = ss_n * sdc_x - nref * sc_x * sds_n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = sign * num_a / den_a
-        b = sign * num_b / den_b
-    a[~np.isfinite(a)] = 0.0
-    b[~np.isfinite(b)] = 0.0
+    sign = (-1.0) ** np.arange(lmax + 1) * (np.pi / 2.0)
+    # at tiny x the outgoing functions overflow; quotients with an inf or
+    # nan are zeroed (and counted) below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ss_x, sds_x = riccati_si(lmax, x)
+        sc_x, sdc_x = riccati_sk(lmax, x)
+        if isinstance(mat, PerfectMirror):
+            a = sign * sds_x / sdc_x
+            b = sign * ss_x / sc_x
+            return a[..., 1:], b[..., 1:]
+        nref = np.sqrt(eps_imag_axis(mat, xi))
+        ss_n, sds_n = riccati_si(lmax, nref * x)
+        nref = np.asarray(nref)[..., None]
+        num_a = nref * ss_n * sds_x - ss_x * sds_n
+        den_a = nref * ss_n * sdc_x - sc_x * sds_n
+        num_b = ss_n * sds_x - nref * ss_x * sds_n
+        den_b = ss_n * sdc_x - nref * sc_x * sds_n
+        a = (sign * num_a / den_a)[..., 1:]
+        b = (sign * num_b / den_b)[..., 1:]
+    bad_a, bad_b = ~np.isfinite(a), ~np.isfinite(b)
+    a[bad_a] = 0.0
+    b[bad_b] = 0.0
+    if events is not None:
+        events["mie_zeroed"] += int(bad_a.sum() + bad_b.sum())
     # the scaled numerator carries e^{(n+1)x}, the denominator e^{(n-1)x};
     # the ratio of scaled arrays is therefore exactly a_l e^{-2x}
-    return a[1:], b[1:]
+    return a, b
 
 
 def mie_amplitudes(mat, R, xi, l):
@@ -283,34 +305,61 @@ def _safe_w_floor(lmax):
     return math.exp((ln_dfact - 280.0 * math.log(10.0)) / (lam + 1))
 
 
-def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax):
-    """sum over m of log det(1 - M_m(i xi)) at truncation lmax."""
+# Bytes allowed for one stacked (nodes, 2n, 2n) float64 round trip; the
+# nodes of a quadrature pass are split into slices that fit.
+_STACK_BYTES = 1 << 19
+
+
+def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
+    """sum over m of log det(1 - M_m(i xi)) at truncation lmax.
+
+    ``xi`` is one frequency (returns a float) or an array of nodes (returns
+    an array). All nodes share the Mie amplitudes and translation sums of
+    one vectorised call; per m the round trips of a slice of nodes are
+    built as one (nodes, 2n, 2n) stack and go through one stacked log det.
+    When ``events`` (a Counter) is given, it counts the nodes raised to the
+    small-w floor ("xi_clamped") and the zeroed Mie amplitudes
+    ("mie_zeroed").
+    """
+    xi = np.asarray(xi, dtype=float)
+    nodes = np.atleast_1d(xi)
     w_floor = _safe_w_floor(lmax)
-    w = xi * sys.L / C_LIGHT
-    if w < w_floor:
-        xi = w_floor * C_LIGHT / sys.L
-        w = w_floor
-    x1 = xi * sys.R1 / C_LIGHT
-    x2 = xi * sys.R2 / C_LIGHT
-    a1, b1 = _mie_scaled(sys.mat1, sys.R1, xi, lmax)
-    a2, b2 = _mie_scaled(sys.mat2, sys.R2, xi, lmax)
+    w = nodes * sys.L / C_LIGHT
+    clamped = w < w_floor
+    nodes = np.where(clamped, w_floor * C_LIGHT / sys.L, nodes)
+    w = np.where(clamped, w_floor, w)
+    if events is not None:
+        events["xi_clamped"] += int(clamped.sum())
+    x1 = nodes * sys.R1 / C_LIGHT
+    x2 = nodes * sys.R2 / C_LIGHT
+    a1, b1 = _mie_scaled(sys.mat1, sys.R1, nodes, lmax, events)
+    a2, b2 = _mie_scaled(sys.mat2, sys.R2, nodes, lmax, events)
     # common exponential: Mie e^{2x} growth against translation e^{-w} decay
-    damp = math.exp(2.0 * (x1 + x2 - w))
-    total = 0.0
+    damp = np.exp(2.0 * (x1 + x2 - w))
+    sk = sk_array(2 * lmax + 1, w)
+    total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
-        lmin, a12, c12 = _translation_blocks_scaled(lmax, m, w)
-        sl = slice(lmin - 1, lmax)
-        r1 = np.concatenate([a1[sl], b1[sl]])
-        r2 = np.concatenate([a2[sl], b2[sl]])
-        ls = np.arange(lmin, lmax + 1)
-        par = (-1.0) ** (ls[:, None] + ls[None, :])
-        t12 = np.block([[a12, c12], [c12, a12]])
-        t21 = np.block([[a12 * par, -c12 * par], [-c12 * par, a12 * par]])
-        mm = (r1[:, None] * t12) @ (r2[:, None] * t21) * damp
-        ld = log_det_one_minus(mm)
+        lmin, cA, cC = _axial_coeff_tensors(lmax, m)
+        n = lmax - lmin + 1
+        flip = _reverse_signs(lmin, lmax)
+        r1 = np.concatenate([a1[:, lmin - 1:], b1[:, lmin - 1:]], axis=1)
+        r2 = np.concatenate([a2[:, lmin - 1:], b2[:, lmin - 1:]], axis=1)
+        step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
-        total += weight * ld.real
-    return total
+        for lo in range(0, nodes.size, step):
+            sl = slice(lo, lo + step)
+            a12, c12 = _contract(cA, sk[sl]), _contract(cC, sk[sl])
+            t12 = np.empty((len(a12), 2 * n, 2 * n))
+            t12[:, :n, :n] = t12[:, n:, n:] = a12
+            t12[:, :n, n:] = t12[:, n:, :n] = c12
+            # M = R1 T12 R2 T21, with T21 the reverse translation of T12
+            t21 = t12 * flip
+            t21 *= r2[sl, :, None]
+            t12 *= r1[sl, :, None]
+            mm = t12 @ t21
+            mm *= damp[sl, None, None]
+            total[sl] += weight * log_det_one_minus(mm).real
+    return float(total[0]) if xi.ndim == 0 else total
 
 
 def sphere_energy(
@@ -333,55 +382,69 @@ def sphere_energy(
     Returns
     -------
     EnergyResult
-        value in J (negative for passive spheres); metadata records the
-        orders used and the lmax convergence history.
+        value in J (negative for passive spheres). The metadata, the same
+        on success and on ``NotConverged``, holds ``lmax`` (the last order
+        tried), ``lmax_history`` as (lmax, value) pairs, the
+        ``quad_orders`` and ``events`` of the last lmax pass, and
+        ``warnings``. ``events`` counts, over the last quadrature pass,
+        the nodes raised to the small-w floor (``xi_clamped``) and the
+        non-finite Mie amplitudes set to zero (``mie_zeroed``).
+
+    Raises
+    ------
+    NotConverged
+        If the frequency quadrature or the lmax doubling does not converge;
+        the best EnergyResult is attached.
     """
     lmax = sys.lmax if sys.lmax is not None else sys.default_lmax()
     scale = C_LIGHT / (2.0 * sys.gap)
+    prefactor = HBAR / (2.0 * np.pi)
+    history = []
+
+    def result(err, quad_hist, events, warnings):
+        """EnergyResult of the last entry of ``history``."""
+        lm, value = history[-1]
+        return EnergyResult(
+            value=value,
+            error_estimate=err,
+            metadata={
+                "lmax": lm,
+                "lmax_history": history,
+                "quad_orders": [o for o, _ in quad_hist],
+                "warnings": warnings,
+                "events": {name: events[name] for name in SPHERE_EVENTS},
+            },
+        )
 
     def energy_at(lm):
+        """Energy and error at truncation lm, appended to ``history``, with
+        the quadrature history and the events of its last pass."""
+        events = Counter()
+
         def f(xi_arr):
-            return np.array(
-                [_round_trip_logdet_sum(sys, xi, lm) for xi in np.atleast_1d(xi_arr)]
-            )
+            events.clear()
+            return _round_trip_logdet_sum(sys, xi_arr, lm, events)
 
-        value, err, history = integrate_semiinfinite(f, quad, scale=scale)
-        return HBAR / (2.0 * np.pi) * value, HBAR / (2.0 * np.pi) * err, history
+        try:
+            value, err, quad_hist = integrate_semiinfinite(f, quad, scale=scale)
+        except NotConverged as exc:
+            value, err, quad_hist = exc.result
+            history.append((lm, prefactor * value))
+            best = result(prefactor * err, quad_hist, events,
+                          ["frequency quadrature not converged"])
+            raise NotConverged(str(exc), result=best) from exc
+        history.append((lm, prefactor * value))
+        return prefactor * value, prefactor * err, quad_hist, events
 
-    history = []
-    value, err, quad_hist = energy_at(lmax)
-    history.append((lmax, value))
+    value, err, quad_hist, events = energy_at(lmax)
+    if not adaptive_lmax:
+        return result(err, quad_hist, events, [])
     change = math.inf
-    if adaptive_lmax:
-        for _ in range(max_lmax_doublings):
-            new_lmax = 2 * lmax
-            new_value, new_err, quad_hist = energy_at(new_lmax)
-            history.append((new_lmax, new_value))
-            change = abs(new_value - value)
-            value, err, lmax = new_value, new_err, new_lmax
-            if change <= lmax_tol * max(abs(new_value), 1e-300):
-                break
-        else:
-            best = EnergyResult(
-                value=value,
-                error_estimate=err + change,
-                metadata={
-                    "lmax": lmax,
-                    "lmax_history": history,
-                    "warnings": ["lmax not converged"],
-                },
-            )
-            raise NotConverged("multipole truncation did not converge", result=best)
-        truncation_err = change
-    else:
-        truncation_err = 0.0
-    return EnergyResult(
-        value=value,
-        error_estimate=err + truncation_err,
-        metadata={
-            "lmax": lmax,
-            "lmax_history": history,
-            "quad_orders": [o for o, _ in quad_hist],
-            "warnings": [],
-        },
-    )
+    for _ in range(max_lmax_doublings):
+        new_value, err, quad_hist, events = energy_at(2 * history[-1][0])
+        change = abs(new_value - value)
+        value = new_value
+        if change <= lmax_tol * max(abs(value), 1e-300):
+            return result(err + change, quad_hist, events, [])
+    best = result(err + change, quad_hist, events, ["lmax not converged"])
+    raise NotConverged("multipole truncation did not converge", result=best)

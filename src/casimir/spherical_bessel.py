@@ -8,6 +8,9 @@ e^-x), so the stable currency is the scaled pair
 computed by downward (Miller) recurrence for i_l and upward recurrence for
 k_l; both directions are the numerically stable ones. Riccati forms and
 their derivatives carry the same scaling.
+
+Every function takes a scalar x or an array of x and returns arrays of
+shape ``x.shape + (lmax + 1,)``: the order l runs along the last axis.
 """
 
 from __future__ import annotations
@@ -18,45 +21,58 @@ from .errors import DomainError
 
 
 def si_array(lmax, x):
-    """Scaled e^-x i_l(x) for l = 0..lmax (one x > 0 at a time).
+    """Scaled e^-x i_l(x) for l = 0..lmax (x >= 0).
 
-    Downward recurrence from a start order safely above both lmax and the
-    turning point at l ~ x, normalized against the closed form of si_0.
+    Miller's algorithm in ratio form: r_l = i_{l+1}/i_l follows from the
+    downward recurrence r_l = 1/((2l + 3)/x + r_{l+1}) started at r = 0 from
+    order lmax + 30 + sqrt(40 x). Above the turning point l ~ x the ratio
+    start error dies off at once; below it, i_l and k_l change like
+    exp(-+l^2/2x), so that start leaves a relative error below e^-40. Each
+    x starts from its own order, so a value does not depend on the other
+    entries of the array. The ratios are then chained from the closed form
+    of si_0.
     """
-    if x < 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise DomainError("argument must be >= 0")
-    if x == 0.0:
-        out = np.zeros(lmax + 1)
-        out[0] = 1.0  # e^0 i_0(0)
-        return out
-    top = int(max(lmax, 1.1 * x) + 0.5 * np.sqrt(max(x, 1.0)) + 30)
-    p_up = 0.0
-    p = 1e-280
-    vals = np.zeros(lmax + 2)
-    for l in range(top, -1, -1):
-        p_down = p_up + (2 * l + 3) / x * p
-        if l <= lmax + 1:
-            vals[l] = p_down
-        p_up, p = p, p_down
-        if abs(p) > 1e250:  # renormalize mid-recurrence to avoid overflow
-            p_up /= 1e250
-            p /= 1e250
-            vals *= 1e-250
+    flat = x.reshape(-1)
+    zero = flat == 0.0
+    xs = np.where(zero, 1.0, flat)
+    top = lmax + 30 + np.sqrt(40.0 * xs).astype(int)
+    order = np.argsort(-top, kind="stable")
+    xs, top = xs[order], top[order]
+    r = np.zeros(xs.size)
+    ratios = np.empty((xs.size, lmax))
+    active = 0
+    for l in range(int(top[0]) if xs.size else -1, -1, -1):
+        while active < xs.size and top[active] >= l:
+            active += 1
+        r[:active] = 1.0 / ((2 * l + 3) / xs[:active] + r[:active])
+        if l < lmax:
+            ratios[:, l] = r
     # si_0(x) = e^-x sinh(x)/x = (1 - e^{-2x}) / (2x)
-    si0 = (1.0 - np.exp(-2.0 * x)) / (2.0 * x)
-    return vals[: lmax + 1] * (si0 / vals[0])
+    si0 = (1.0 - np.exp(-2.0 * xs)) / (2.0 * xs)
+    vals = np.empty((xs.size, lmax + 1))
+    vals[:, 0] = si0
+    vals[:, 1:] = si0[:, None] * np.cumprod(ratios, axis=1)
+    out = np.empty_like(vals)
+    out[order] = vals
+    out[zero] = 0.0
+    out[zero, 0] = 1.0  # e^0 i_0(0)
+    return out.reshape(x.shape + (lmax + 1,))
 
 
 def sk_array(lmax, x):
     """Scaled e^x k_l(x) for l = 0..lmax (x > 0), by upward recurrence."""
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
         raise DomainError("argument must be > 0")
-    out = np.empty(lmax + 1)
-    out[0] = np.pi / (2.0 * x)
+    out = np.empty(x.shape + (lmax + 1,))
+    out[..., 0] = np.pi / (2.0 * x)
     if lmax >= 1:
-        out[1] = np.pi / (2.0 * x) * (1.0 + 1.0 / x)
+        out[..., 1] = np.pi / (2.0 * x) * (1.0 + 1.0 / x)
     for l in range(1, lmax):
-        out[l + 1] = out[l - 1] + (2 * l + 1) / x * out[l]
+        out[..., l + 1] = out[..., l - 1] + (2 * l + 1) / x * out[..., l]
     return out
 
 
@@ -66,20 +82,18 @@ def riccati_si(lmax, x):
     Returns (sS, sdS) with sS_l = e^-x x i_l(x) and sdS_l = e^-x S_l'(x),
     l = 0..lmax, using S_l'(x) = x i_{l-1}(x) - l i_l(x), i_{-1} = cosh/x.
     """
+    x = np.asarray(x, dtype=float)
     si = si_array(lmax + 1, x)
-    ss = x * si[: lmax + 1]
-    sds = np.empty(lmax + 1)
-    if x == 0.0:
-        sds[:] = 0.0
-        sds[0] = 1.0
-        if lmax >= 1:
-            sds[1] = 0.0
-        return ss, sds
-    si_m1 = (1.0 + np.exp(-2.0 * x)) / (2.0 * x)  # e^-x cosh(x)/x
-    prev = si_m1
-    for l in range(lmax + 1):
-        sds[l] = x * prev - l * si[l]
-        prev = si[l]
+    xe = x[..., None]
+    ss = xe * si[..., : lmax + 1]
+    zero = x == 0.0
+    xs = np.where(zero, 1.0, x)
+    prev = np.empty_like(ss)
+    prev[..., 0] = (1.0 + np.exp(-2.0 * xs)) / (2.0 * xs)  # e^-x cosh(x)/x
+    prev[..., 1:] = si[..., :lmax]
+    sds = xe * prev - np.arange(lmax + 1) * si[..., : lmax + 1]
+    sds[zero] = 0.0
+    sds[zero, 0] = 1.0
     return ss, sds
 
 
@@ -90,10 +104,8 @@ def riccati_sk(lmax, x):
     l = 0..lmax, using C_l'(x) = -x k_{l-1}(x) - l k_l(x), k_{-1} = k_0.
     """
     sk = sk_array(lmax, x)
-    sc = x * sk
-    sdc = np.empty(lmax + 1)
-    prev = sk[0]  # k_{-1} = k_0
-    for l in range(lmax + 1):
-        sdc[l] = -x * prev - l * sk[l]
-        prev = sk[l]
-    return sc, sdc
+    xe = np.asarray(x, dtype=float)[..., None]
+    prev = np.empty_like(sk)
+    prev[..., 0] = sk[..., 0]  # k_{-1} = k_0
+    prev[..., 1:] = sk[..., :lmax]
+    return xe * sk, -xe * prev - np.arange(lmax + 1) * sk

@@ -168,6 +168,24 @@ class TestSphere:
         assert all(e < 0 for e in energies)
         assert abs(energies[1]) < abs(energies[0])
 
+    def test_not_converged_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sphere": {"R1": 1e-7, "R2": 1e-7, "lmax": 2},
+            "sweep": {"L_min": 1e-6, "points": 1},
+            "quad": {"base_order": 8, "max_doublings": 0, "tol": 1e-14},
+        }))
+        out = tmp_path / "sphere.json"
+        code = run_cli(["sphere", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        payload = json.loads(out.read_text())
+        (row,) = payload["rows"]
+        assert row["flag"] == "not_converged"
+        assert float(row["energy"]) < 0 and row["lmax_used"] == 2
+        assert payload["warnings"] == ["L=1.000e-06: not_converged"]
+
 
 class TestToyDos:
     def test_agreement_exit_0(self, tmp_path, capsys):

@@ -57,6 +57,57 @@ class TestLogDetOneMinus:
             assert val.real <= 0
 
 
+class TestStackedLogDetOneMinus:
+    @staticmethod
+    def _stack(seed, count=5, n=6):
+        return np.stack([random_contraction(n, seed + i) for i in range(count)])
+
+    def test_matches_loop(self):
+        stack = self._stack(11)
+        out = log_det_one_minus(stack)
+        assert out.shape == (5,) and out.dtype == complex
+        for i, m in enumerate(stack):
+            assert abs(out[i] - log_det_one_minus(m)) < 1e-13
+
+    def test_leading_axes(self):
+        stack = self._stack(20, count=6).reshape(2, 3, 6, 6)
+        out = log_det_one_minus(stack)
+        assert out.shape == (2, 3)
+        assert abs(out[1, 2] - log_det_one_minus(stack[1, 2])) < 1e-13
+
+    def test_real_stack_matches_complex(self):
+        rng = np.random.default_rng(5)
+        stack = 0.1 * rng.standard_normal((4, 5, 5))
+        real = log_det_one_minus(stack)
+        cplx = log_det_one_minus(stack.astype(complex))
+        assert np.max(np.abs(real - cplx)) < 1e-13
+        # the imaginary parts of conjugate eigenvalue pairs cancel
+        assert np.max(np.abs(real.imag)) < 1e-14
+
+    def test_branch_risk_from_one_matrix(self):
+        stack = self._stack(30)
+        stack[3] = np.diag([0.2, 0.3, 1.0, 0.1, 0.0, 0.5])
+        with pytest.raises(BranchRisk, match="matrix"):
+            log_det_one_minus(stack)
+        # the same stack without that matrix is fine
+        log_det_one_minus(np.delete(stack, 3, axis=0))
+
+    def test_non_finite_entry(self):
+        stack = self._stack(40)
+        stack[2, 1, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            log_det_one_minus(stack)
+        stack[2, 1, 4] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            log_det_one_minus(stack.real)
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            log_det_one_minus(np.zeros((3, 2, 4)))
+        with pytest.raises(ValueError):
+            log_det_one_minus(np.zeros(3))
+
+
 class TestIntegrateSemiInfinite:
     def test_exponential(self):
         value, err, _ = integrate_semiinfinite(

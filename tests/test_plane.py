@@ -75,6 +75,13 @@ class TestFresnel:
 
 
 class TestTranslationFactor:
+    def test_perfect_mirror_medium_rejected(self):
+        # no finite permittivity: both axes raise, as fresnel_r does
+        with pytest.raises(DomainError):
+            translation_factor(PerfectMirror(), PlaneChannel(1e6, "TE", xi=1e15), 1e-6)
+        with pytest.raises(DomainError):
+            translation_factor(PerfectMirror(), PlaneChannel(1e6, "TE", omega=1e15), 1e-6)
+
     def test_zero_separation(self):
         ch = PlaneChannel(1e6, "TE", xi=1e15)
         assert translation_factor(VACUUM, ch, 0.0) == 1.0
