@@ -57,7 +57,6 @@ from .scattering import (
     translation_scatterer,
 )
 from .sphere import (
-    MultipoleChannel,
     SphereSystem,
     mie_amplitudes,
     sphere_energy,

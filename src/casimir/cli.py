@@ -7,18 +7,14 @@ and the dissipative-cavity toy.
 
 Configuration comes from a single JSON file; command-line flags win over
 file values. Exit codes: 0 success, 1 identity/agreement failure,
-2 config error, 3 convergence failure. The environment variable
-CASIMIR_THREADS caps worker parallelism across sweep points (0 = auto,
-unset = sequential).
+2 config error, 3 convergence failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -68,22 +64,6 @@ def _sweep_from(cfg, default_min=1e-7, default_max=1e-6):
     if spacing == "linear":
         return np.linspace(lmin, lmax, points)
     raise ValueError(f"unknown spacing {spacing!r}")
-
-
-def _worker_count():
-    raw = os.environ.get("CASIMIR_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    return os.cpu_count() or 1 if n == 0 else max(1, n)
-
-
-def _map_points(fn, points):
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
 
 
 def _emit(args, payload, columns, rows):
@@ -253,32 +233,33 @@ def cmd_verify(args, cfg):
 # plane / sphere sweeps
 # ---------------------------------------------------------------------------
 
+def _sweep(args, cfg, lengths, energy_at, columns, extra):
+    """One row per separation L: L, the energy, ``extra(L, result)``, the
+    error estimate and a ``not_converged`` flag; each result's own warnings
+    go into the JSON ``warnings``. Returns 3 if any point did not converge."""
+    rows, warnings = [], []
+    for L in map(float, lengths):
+        try:
+            res, flag = energy_at(L), ""
+        except NotConverged as exc:
+            res, flag = exc.result, "not_converged"
+        rows.append([L, res.value, extra(L, res), res.error_estimate, flag])
+        warnings += [f"L={L:.3e}: {w}" for w in res.metadata["warnings"]]
+    _emit(args, {"config_echo": cfg, "warnings": warnings}, columns, rows)
+    return 3 if any(row[-1] for row in rows) else 0
+
+
 def cmd_plane(args, cfg):
     mat1 = material_from_dict(cfg.get("material1", "perfect_mirror"))
     mat2 = material_from_dict(cfg.get("material2", "perfect_mirror"))
     medium = material_from_dict(cfg.get("medium", "vacuum"))
     quad = _quad_from(cfg, args)
-    lengths = _sweep_from(cfg)
-
-    def point(L):
-        sys_ = PlaneSystem(mat1, mat2, medium, float(L))
-        try:
-            res = energy_per_area(sys_, quad)
-            flag = ""
-        except NotConverged as exc:
-            res = exc.result
-            flag = "not_converged"
-        ideal = float(ideal_energy_per_area(L))
-        row = [float(L), res.value, res.value / ideal, res.error_estimate, flag]
-        return row, res.metadata["warnings"]
-
-    points = _map_points(point, lengths)
-    rows = [row for row, _ in points]
-    # each result's own warnings, "not converged" included
-    warnings = [f"L={row[0]:.3e}: {w}" for row, ws in points for w in ws]
-    columns = ["L", "energy_per_area", "ratio_to_ideal", "error_estimate", "flag"]
-    _emit(args, {"config_echo": cfg, "warnings": warnings}, columns, rows)
-    return 3 if any(row[-1] for row in rows) else 0
+    return _sweep(
+        args, cfg, _sweep_from(cfg),
+        lambda L: energy_per_area(PlaneSystem(mat1, mat2, medium, L), quad),
+        ["L", "energy_per_area", "ratio_to_ideal", "error_estimate", "flag"],
+        lambda L, res: res.value / float(ideal_energy_per_area(L)),
+    )
 
 
 def cmd_sphere(args, cfg):
@@ -291,30 +272,15 @@ def cmd_sphere(args, cfg):
     quad = _quad_from(cfg, args)
     # default sweep must respect L > R1 + R2
     lengths = _sweep_from(cfg, default_min=4 * (r1 + r2), default_max=20 * (r1 + r2))
-    warnings = []
-    failed = False
-
-    def point(L):
-        sys_ = SphereSystem(
-            R1=r1, R2=r2, L=float(L), mat1=mat1, mat2=mat2,
+    return _sweep(
+        args, cfg, lengths,
+        lambda L: sphere_energy(SphereSystem(
+            R1=r1, R2=r2, L=L, mat1=mat1, mat2=mat2,
             lmax=int(lmax) if lmax is not None else None,
-        )
-        try:
-            res = sphere_energy(sys_, quad)
-            flag = ""
-        except NotConverged as exc:
-            res = exc.result
-            flag = "not_converged"
-        return [float(L), res.value, res.metadata.get("lmax", 0), res.error_estimate, flag]
-
-    rows = _map_points(point, lengths)
-    for row in rows:
-        if row[-1]:
-            failed = True
-            warnings.append(f"L={row[0]:.3e}: {row[-1]}")
-    columns = ["L", "energy", "lmax_used", "error_estimate", "flag"]
-    _emit(args, {"config_echo": cfg, "warnings": warnings}, columns, rows)
-    return 3 if failed else 0
+        ), quad),
+        ["L", "energy", "lmax_used", "error_estimate", "flag"],
+        lambda L, res: res.metadata["lmax"],
+    )
 
 
 # ---------------------------------------------------------------------------

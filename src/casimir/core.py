@@ -1,11 +1,13 @@
 """Geometry-independent pieces of the energy formula: branch-safe
-log det(1 - M) and the order-doubling loop of every order-refined integral.
+log det(1 - M), the order-doubling loop of every order-refined integral and
+the one energy loop that every geometry and frequency axis runs through.
 
 Physical constants live here so every module prices energies identically.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +16,8 @@ from .errors import BranchRisk, NotConverged
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
+# silent events of an energy run, counted in its metadata
+EVENTS = ("xi_clamped", "mie_zeroed", "tol_floored")
 
 
 def log_det_one_minus(m):
@@ -21,8 +25,10 @@ def log_det_one_minus(m):
 
     With every |lambda_i| < 1 each factor satisfies Re(1 - lambda_i) > 0,
     so the per-eigenvalue principal branch can never wrap: the result is
-    branch-safe by construction. For the Hermitian-symmetric problems that
-    arise on the imaginary frequency axis the result is real and <= 0.
+    branch-safe by construction. Each log keeps its relative accuracy for
+    small |lambda_i|: a weak round trip gives -lambda_i, not 0. For the
+    Hermitian-symmetric problems that arise on the imaginary frequency axis
+    the result is real and <= 0.
 
     ``m`` is one square matrix or a stack of shape (..., n, n). A stack is
     validated once and goes through one stacked ``eigvals``; real input
@@ -52,7 +58,13 @@ def log_det_one_minus(m):
         worst = np.unravel_index(np.argmax(rho), rho.shape)
         where = f" (matrix {worst} of the stack)" if rho.ndim else ""
         raise BranchRisk(f"spectral radius {rho[worst]:.12f} >= 1{where}")
-    out = np.sum(np.log(1.0 - lam), axis=-1)
+    # log(1 + z), z = -lambda: for |z| < 0.5 the modulus comes from log1p,
+    # not from rounding 1 + z, to keep its relative precision for tiny |z|;
+    # elsewhere from |1 + z|, exact near z = -1 where log1p's argument cancels
+    z = -lam
+    modulus, small = np.log(np.abs(1.0 + z)), np.abs(z) < 0.5
+    modulus[small] = 0.5 * np.log1p(2.0 * z[small].real + np.abs(z[small]) ** 2)
+    out = np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real), axis=-1)
     return complex(out) if m.ndim == 2 else out
 
 
@@ -150,3 +162,72 @@ def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0
         return float(np.sum(w * jac * np.asarray(f(xi), dtype=float)))
 
     return refine_order(evaluate, quad, "semi-infinite quadrature")
+
+
+def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
+           warnings=(), **meta):
+    """Energy of one geometry, E = hbar/(2 pi) int dxi sum log det(1 - M),
+    from the function that integrates it at one truncation.
+
+    ``integrate(lmax, events)`` returns ``refine_order``'s (value, error,
+    history) at truncation ``lmax`` (None for plates) and counts its silent
+    events into the Counter ``events``. Unless ``max_lmax_doublings`` is None,
+    lmax then doubles up to that many times until the energy moves by at most
+    ``lmax_tol`` relative; that last change (inf if none) joins the error.
+
+    Returns
+    -------
+    EnergyResult
+        Its metadata has the same keys on success and on NotConverged:
+        ``geometry`` and ``axis`` (with the other ``meta`` entries),
+        ``orders`` of the last quadrature, ``lmax`` (the last one tried)
+        and ``lmax_history`` as (lmax, value) pairs (None and [] for
+        plates), ``events`` (``EVENTS``, as counted by the last
+        ``integrate``) and ``warnings``.
+
+    Raises
+    ------
+    NotConverged
+        If the quadrature or the lmax doubling does not converge; the best
+        EnergyResult is attached.
+    """
+    lmax_history = []
+
+    def result(value, err, history, events, failed=None):
+        return EnergyResult(value, err, {
+            **meta,
+            "orders": [order for order, _ in history],
+            "lmax": lmax_history[-1][0] if lmax_history else None,
+            "lmax_history": lmax_history,
+            "events": {name: events[name] for name in EVENTS},
+            "warnings": [*warnings, *([f"{failed} not converged"] if failed else [])],
+        })
+
+    def attempt(lm):
+        events = Counter()
+        try:
+            value, err, history = integrate(lm, events)
+            failure = None
+        except NotConverged as exc:
+            (value, err, history), failure = exc.result, exc
+        if lm is not None:
+            lmax_history.append((lm, value))
+        if failure is not None:
+            best = result(value, err, history, events, "quadrature")
+            raise NotConverged(str(failure), result=best) from None
+        return value, err, history, events
+
+    value, err, history, events = attempt(lmax)
+    if max_lmax_doublings is None:
+        return result(value, err, history, events)
+    change = np.inf
+    for _ in range(max_lmax_doublings):
+        new_value, err, history, events = attempt(2 * lmax_history[-1][0])
+        change, value = abs(new_value - value), new_value
+        if change <= lmax_tol * max(abs(value), 1e-300):
+            return result(value, err + change, history, events)
+    raise NotConverged(
+        f"multipole truncation not converged after {max_lmax_doublings} "
+        f"doublings (last change {change:.3e})",
+        result=result(value, err + change, history, events, "lmax"),
+    )

@@ -24,9 +24,10 @@ import numpy as np
 from .core import (
     C_LIGHT,
     HBAR,
-    EnergyResult,
     QuadratureSpec,
+    energy,
     gauss_legendre_01,
+    integrate_semiinfinite,
     refine_order,
 )
 from .errors import DomainError, NotConverged, OscillatoryFailure
@@ -150,20 +151,11 @@ def ideal_energy_per_area(L):
     return -np.pi**2 * HBAR * C_LIGHT / (720.0 * np.asarray(L, dtype=float) ** 3)
 
 
-def _result(sys: PlaneSystem, value, err, history, converged=True, **meta):
-    """EnergyResult with the metadata both axes share: the doubled
-    ``orders``, ``warnings`` and the keyword entries (``axis`` and so on)."""
-    warnings = []
+def _warnings(sys: PlaneSystem):
+    """Warnings that every plane energy at separation ``sys.L`` carries."""
     if sys.L < 1e-9:
-        warnings.append("separation below 1 nm: continuum dielectric models are suspect")
-    if not converged:
-        warnings.append("not converged")
-    orders = [order for order, _ in history]
-    return EnergyResult(
-        value=value,
-        error_estimate=err,
-        metadata={"orders": orders, "warnings": warnings, **meta},
-    )
+        return ["separation below 1 nm: continuum dielectric models are suspect"]
+    return []
 
 
 def lifshitz_integrand(sys: PlaneSystem, xi, q):
@@ -185,38 +177,25 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
     E/A = hbar/(4 pi^2) int_0^inf dxi int_0^inf q dq
           sum_pol log(1 - r1 r2 e^{-2 kappa_m L})
 
-    Both integrals use the substitution x = s u/(1-u) with Gauss-Legendre
-    nodes in u; ``refine_order`` doubles the two orders together until the
-    relative change is below ``quad.tol``.
-
-    Returns
-    -------
-    EnergyResult
-        value in J/m^2; error_estimate is the last doubling change.
-
-    Raises
-    ------
-    NotConverged
-        With the best EnergyResult attached, if the doubling budget is
-        exhausted first.
+    ``integrate_semiinfinite`` maps xi = (c/L) u/(1-u); at each xi order
+    the q integral uses q = (1/L) u/(1-u) at the same Gauss-Legendre order,
+    so the two orders double together until the relative change is below
+    ``quad.tol``. The integrand reads that order as ``len(xi)``: it relies
+    on ``integrate_semiinfinite`` taking its nodes from ``gauss_legendre_01``
+    at that order. Returns and raises as ``core.energy``; value in J/m^2.
     """
-    s_xi = C_LIGHT / sys.L
     s_q = 1.0 / sys.L
 
-    def evaluate(u, wu):
-        xi = s_xi * u / (1.0 - u)
-        jxi = s_xi * wu / (1.0 - u) ** 2
+    def f(xi):
+        u, wu = gauss_legendre_01(len(xi))
         q = s_q * u / (1.0 - u)
         jq = s_q * wu / (1.0 - u) ** 2
-        inner = lifshitz_integrand(sys, xi, q) @ (jq * q)
-        return HBAR / (4 * np.pi**2) * float(jxi @ inner)
+        return HBAR / (4 * np.pi**2) * (lifshitz_integrand(sys, xi, q) @ (jq * q))
 
-    try:
-        value, err, history = refine_order(evaluate, quad, "plane energy quadrature")
-    except NotConverged as exc:
-        best = _result(sys, *exc.result, converged=False, axis="imaginary")
-        raise NotConverged(str(exc), result=best) from None
-    return _result(sys, value, err, history, axis="imaginary")
+    return energy(
+        lambda lmax, events: integrate_semiinfinite(f, quad, scale=C_LIGHT / sys.L),
+        warnings=_warnings(sys), geometry="plane", axis="imaginary",
+    )
 
 
 def _real_axis_channel_values(sys: PlaneSystem, q, pol, omega):
@@ -291,8 +270,12 @@ def energy_per_area_real_axis(
     Requires strictly dissipative mirror materials (positive damping), so
     that |r1 r2 e^{2 i kz L}| < 1 and the principal branch is safe. The
     frequency integral at fixed q decays like 1/w^4; the tail beyond
-    ``omega_max`` is estimated from that envelope and folded into the
-    error estimate.
+    ``omega_max``, the q cut-off remainder and the panel errors are
+    bounded and folded into the error estimate.
+
+    The outer q refinement stops at ``max(quad.tol, 1e-4)`` relative; a
+    tighter ``quad.tol`` is counted as ``events["tol_floored"]``. Returns
+    and raises as ``core.energy``, with ``omega_max`` in the metadata.
 
     Raises
     ------
@@ -301,9 +284,6 @@ def energy_per_area_real_axis(
     OscillatoryFailure
         If the per-channel adaptive refinement cannot resolve the
         oscillatory integrand.
-    NotConverged
-        If the outer q refinement stalls above ``quad.tol`` against the
-        imaginary-axis scale of the problem.
     """
     for mat in (sys.mat1, sys.mat2):
         if not is_dissipative(mat):
@@ -355,13 +335,18 @@ def energy_per_area_real_axis(
         inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq * q * errs)))
         return HBAR / (4 * np.pi**2) * float(np.sum(jq * q * vals))
 
-    meta = {"axis": "real", "omega_max": omega_max}
-    try:
-        value, err, history = refine_order(
-            evaluate, replace(quad, tol=max(quad.tol, 1e-4)), "real-axis energy"
-        )
-    except NotConverged as exc:
-        value, err, history = exc.result
-        best = _result(sys, value, err + q_tail, history, converged=False, **meta)
-        raise NotConverged(str(exc), result=best) from None
-    return _result(sys, value, err + inner_errs[-1] + q_tail, history, **meta)
+    def with_bounds(value, err, history):
+        return value, err + inner_errs[-1] + q_tail, history
+
+    def integrate(lmax, events):
+        if quad.tol < 1e-4:
+            events["tol_floored"] += 1
+        try:
+            return with_bounds(*refine_order(
+                evaluate, replace(quad, tol=max(quad.tol, 1e-4)), "real-axis energy"))
+        except NotConverged as exc:
+            exc.result = with_bounds(*exc.result)
+            raise
+
+    return energy(integrate, warnings=_warnings(sys), geometry="plane",
+                  axis="real", omega_max=omega_max)

@@ -104,9 +104,6 @@ class ScatteringMatrix:
     def unitarity_defect(self):
         return blockmat.unitarity_defect(self.assemble())
 
-    def is_unitary(self, tol=UNITARITY_TOL):
-        return self.unitarity_defect() <= tol
-
     def require_unitary(self, tol=UNITARITY_TOL, name="scattering matrix"):
         blockmat.require_unitary(self.assemble(), tol=tol, name=name)
 

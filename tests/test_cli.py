@@ -78,19 +78,6 @@ class TestPlane:
         assert all(0 < x < 1 for x in ratios)
         assert ratios == sorted(ratios)  # approaches ideal as L grows
 
-    def test_threaded_sweep_matches_sequential(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "sweep": {"L_min": 2e-7, "L_max": 9e-7, "points": 4, "spacing": "log"},
-        }))
-        out_seq = tmp_path / "seq.csv"
-        assert run_cli(["plane", "--config", str(cfg), "--out", str(out_seq)]) == 0
-        monkeypatch.setenv("CASIMIR_THREADS", "3")
-        out_par = tmp_path / "par.csv"
-        assert run_cli(["plane", "--config", str(cfg), "--out", str(out_par)]) == 0
-        capsys.readouterr()
-        assert out_seq.read_bytes() == out_par.read_bytes()
-
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -184,7 +171,25 @@ class TestSphere:
         (row,) = payload["rows"]
         assert row["flag"] == "not_converged"
         assert float(row["energy"]) < 0 and row["lmax_used"] == 2
-        assert payload["warnings"] == ["L=1.000e-06: not_converged"]
+        assert payload["warnings"] == ["L=1.000e-06: quadrature not converged"]
+
+    def test_xi_and_lmax_failures_warn_differently(self, tmp_path, capsys):
+        def warnings(sphere, sweep, quad):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sphere": sphere, "sweep": sweep, "quad": quad}))
+            out = tmp_path / "sphere.json"
+            assert run_cli(["sphere", "--config", str(cfg), "--format", "json",
+                            "--out", str(out)]) == 3
+            return json.loads(out.read_text())["warnings"]
+
+        xi = warnings({"lmax": 2}, {"L_min": 1e-6, "points": 1},
+                      {"base_order": 8, "max_doublings": 0, "tol": 1e-14})
+        # at d/R = 0.2 lmax 1 -> 8 is far from converged
+        lmax = warnings({"lmax": 1}, {"L_min": 2.2e-7, "points": 1},
+                        {"base_order": 16, "tol": 1e-4})
+        capsys.readouterr()
+        assert xi == ["L=1.000e-06: quadrature not converged"]
+        assert lmax == ["L=2.200e-07: lmax not converged"]
 
 
 class TestToyDos:

@@ -24,6 +24,21 @@ class TestLogDetOneMinus:
         assert val.real == pytest.approx(np.log(0.5), abs=1e-15)
         assert val.imag == 0
 
+    def test_tiny_eigenvalues_keep_relative_precision(self):
+        # 1 - 1e-17 rounds to 1, so log(1 - lambda) would give exactly 0
+        val = log_det_one_minus(np.diag([1e-17, 2e-17]))
+        assert val.real == pytest.approx(-3e-17, rel=1e-14)
+        assert val.imag == 0
+
+    @pytest.mark.parametrize("lam", [1 - 2**-28, 1 - 1e-6, (1 - 1e-6) * np.exp(1e-4j)])
+    def test_eigenvalues_near_one_keep_relative_precision(self, lam):
+        # 1 - lambda is exact here (Sterbenz), so np.log(1 - lambda) is the
+        # reference; log1p(2 Re z + |z|^2) would cancel to log1p(-1)
+        val = log_det_one_minus(np.diag([lam, 0.25]))
+        ref = np.log(1 - lam) + np.log(0.75)
+        assert val.real == pytest.approx(ref.real, rel=1e-14)
+        assert val.imag == pytest.approx(ref.imag, rel=1e-14, abs=1e-300)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_factorization_oracle(self, seed):
         m = random_contraction(6, seed)

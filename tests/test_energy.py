@@ -1,0 +1,131 @@
+"""The one energy loop, core.energy: lmax doubling, errors, NotConverged,
+and the metadata schema that plane (both axes) and sphere results share on
+success and on failure."""
+
+import pytest
+
+from casimir.core import EVENTS, QuadratureSpec, energy
+from casimir.errors import NotConverged
+from casimir.materials import VACUUM, Drude
+from casimir.plane import PlaneSystem, energy_per_area, energy_per_area_real_axis
+from casimir.sphere import SphereSystem, sphere_energy
+
+GOLD = Drude(1.37e16, 5.3e13)
+PLATES = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
+SPHERES = SphereSystem(1e-7, 1e-7, 8e-7, GOLD, GOLD, lmax=2)
+W_MAX = 2 * GOLD.omega_p
+KEYS = {"geometry", "axis", "orders", "lmax", "lmax_history", "events", "warnings"}
+FAIL = QuadratureSpec(base_order=8, max_doublings=0, tol=1e-14)
+
+# path -> (run(quad), quad that converges, geometry, axis, extra keys)
+PATHS = {
+    "plane-imaginary": (lambda quad: energy_per_area(PLATES, quad),
+                        QuadratureSpec(base_order=16, tol=1e-3), "plane", "imaginary", {}),
+    "plane-real": (lambda quad: energy_per_area_real_axis(PLATES, W_MAX, quad),
+                   QuadratureSpec(base_order=8, tol=0.5, max_doublings=1), "plane", "real",
+                   {"omega_max": W_MAX}),
+    "sphere": (lambda quad: sphere_energy(SPHERES, quad, lmax_tol=0.1),
+               QuadratureSpec(base_order=16, tol=1e-4), "sphere", "imaginary", {}),
+}
+
+
+@pytest.mark.parametrize("converges", [True, False], ids=["success", "not_converged"])
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_metadata_schema(path, converges):
+    run, quad_ok, geometry, axis, extra = PATHS[path]
+    if converges:
+        res = run(quad_ok)
+    else:
+        with pytest.raises(NotConverged) as err:
+            run(FAIL)
+        res = err.value.result
+    meta = res.metadata
+    assert set(meta) == KEYS | set(extra)
+    assert (meta["geometry"], meta["axis"]) == (geometry, axis)
+    assert all(meta[key] == value for key, value in extra.items())
+    assert meta["warnings"] == ([] if converges else ["quadrature not converged"])
+    base = (quad_ok if converges else FAIL).base_order
+    assert meta["orders"][0] == base and all(isinstance(o, int) for o in meta["orders"])
+    if not converges:
+        assert meta["orders"] == [8]
+    assert set(meta["events"]) == set(EVENTS)
+    assert all(isinstance(v, int) and v >= 0 for v in meta["events"].values())
+    # the real axis refines q to 1e-4 at best, and says so
+    assert meta["events"]["tol_floored"] == (path == "plane-real" and not converges)
+    if geometry == "plane":
+        assert meta["lmax"] is None and meta["lmax_history"] == []
+    else:
+        assert meta["lmax"] == meta["lmax_history"][-1][0]
+        assert meta["lmax_history"][-1][1] == res.value
+
+
+def _fake(values, fail_at=()):
+    """integrate(lmax, events) returning ``values[lmax]`` with error 1e-3,
+    raising the quadrature NotConverged for lmax in ``fail_at``."""
+
+    def integrate(lmax, events):
+        events["xi_clamped"] += lmax or 1
+        out = (values[lmax], 1e-3, [(8, 0.0), (16, values[lmax])])
+        if lmax in fail_at:
+            raise NotConverged("semi-infinite quadrature not converged", result=out)
+        return out
+
+    return integrate
+
+
+class TestEnergyLoop:
+    def test_plates_run_once(self):
+        res = energy(_fake({None: -2.0}), warnings=["w"], geometry="plane", axis="x")
+        assert (res.value, res.error_estimate) == (-2.0, 1e-3)
+        assert res.metadata["warnings"] == ["w"] and res.metadata["orders"] == [8, 16]
+        assert res.metadata["events"]["xi_clamped"] == 1
+
+    def test_lmax_change_added_to_error(self):
+        res = energy(_fake({2: -1.0, 4: -1.5, 8: -1.5005}), lmax=2, lmax_tol=1e-3,
+                     max_lmax_doublings=3)
+        assert res.value == -1.5005
+        assert res.error_estimate == pytest.approx(1e-3 + 5e-4)
+        assert res.metadata["lmax_history"] == [(2, -1.0), (4, -1.5), (8, -1.5005)]
+        assert res.metadata["lmax"] == 8 and res.metadata["events"]["xi_clamped"] == 8
+
+    def test_no_doubling_when_not_asked(self):
+        res = energy(_fake({3: -1.0}), lmax=3)
+        assert res.metadata["lmax_history"] == [(3, -1.0)] and res.error_estimate == 1e-3
+
+    def test_lmax_not_converged(self):
+        with pytest.raises(NotConverged, match="multipole truncation") as err:
+            energy(_fake({1: -1.0, 2: -2.0}), lmax=1, lmax_tol=1e-3, max_lmax_doublings=1)
+        res = err.value.result
+        assert res.value == -2.0 and res.error_estimate == pytest.approx(1.001)
+        assert res.metadata["warnings"] == ["lmax not converged"]
+
+    def test_zero_lmax_doublings_is_not_converged(self):
+        with pytest.raises(NotConverged, match="multipole truncation") as err:
+            energy(_fake({1: -1.0}), lmax=1, lmax_tol=1e-3, max_lmax_doublings=0)
+        res = err.value.result
+        assert res.value == -1.0 and res.error_estimate == float("inf")
+        assert res.metadata["warnings"] == ["lmax not converged"]
+
+    def test_negative_lmax_doublings_is_not_converged(self):
+        with pytest.raises(NotConverged, match="multipole truncation") as err:
+            energy(_fake({1: -1.0}), lmax=1, max_lmax_doublings=-1)
+        assert err.value.result.error_estimate == float("inf")
+
+    def test_quadrature_failure_at_second_lmax(self):
+        with pytest.raises(NotConverged, match="semi-infinite") as err:
+            energy(_fake({1: -1.0, 2: -2.0}, fail_at={2}), lmax=1, lmax_tol=1e-3,
+                   max_lmax_doublings=2)
+        res = err.value.result
+        assert res.value == -2.0 and res.error_estimate == 1e-3
+        assert res.metadata["lmax"] == 2 and res.metadata["lmax_history"][-1] == (2, -2.0)
+        assert res.metadata["warnings"] == ["quadrature not converged"]
+
+
+def test_sphere_adaptive_lmax_without_doublings_is_not_converged():
+    """An adaptive run with no doubling allowed never checks its lmax."""
+    quad = PATHS["sphere"][1]
+    with pytest.raises(NotConverged, match="multipole truncation") as err:
+        sphere_energy(SPHERES, quad, max_lmax_doublings=0)
+    assert err.value.result.metadata["warnings"] == ["lmax not converged"]
+    assert sphere_energy(SPHERES, quad, adaptive_lmax=False).metadata["lmax_history"] == [
+        (2, err.value.result.value)]

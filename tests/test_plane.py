@@ -284,39 +284,3 @@ class TestRealAxis:
         edges = np.linspace(1.0, 2.0, 3)
         with pytest.raises(OscillatoryFailure):
             _adaptive_panels(f, edges, rel_tol=1e-14, abs_floor=0.0, max_rounds=1)
-
-
-class TestMetadataSchema:
-    SHAPE = {"orders", "axis", "warnings"}
-
-    def _both_outcomes(self, run, quad_ok, quad_fail):
-        ok = run(quad_ok)
-        with pytest.raises(NotConverged) as err:
-            run(quad_fail)
-        return ok.metadata, err.value.result.metadata
-
-    def test_imaginary_axis(self):
-        sys_ = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
-        ok, bad = self._both_outcomes(
-            lambda quad: energy_per_area(sys_, quad),
-            QuadratureSpec(base_order=16, tol=1e-3),
-            QuadratureSpec(base_order=8, max_doublings=0),
-        )
-        for meta in (ok, bad):
-            assert set(meta) == self.SHAPE and meta["axis"] == "imaginary"
-        assert ok["warnings"] == [] and bad["warnings"] == ["not converged"]
-        assert bad["orders"] == [8]
-
-    def test_real_axis(self):
-        sys_ = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
-        w_max = 2 * GOLD.omega_p
-        ok, bad = self._both_outcomes(
-            lambda quad: energy_per_area_real_axis(sys_, w_max, quad),
-            QuadratureSpec(base_order=8, tol=0.5, max_doublings=1),
-            QuadratureSpec(base_order=8, max_doublings=0),
-        )
-        for meta in (ok, bad):
-            assert set(meta) == self.SHAPE | {"omega_max"}
-            assert meta["axis"] == "real" and meta["omega_max"] == w_max
-        assert ok["warnings"] == [] and bad["warnings"] == ["not converged"]
-        assert ok["orders"] == [8, 16] and bad["orders"] == [8]

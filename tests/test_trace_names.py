@@ -1,6 +1,8 @@
 """The benchmark tracer (perfbench/spans.py) wraps casimir functions by
-module attribute name. A renamed attribute would turn its per-layer metrics
-into nulls without any error, so every traced name must resolve."""
+module attribute name and reads per-layer numbers from EnergyResult
+metadata. A renamed attribute, a changed signature or a changed metadata
+key would turn those metrics into nulls without any error, so every traced
+name must resolve and a few benchmark cases must feed the whole trace."""
 
 import importlib.util
 from pathlib import Path
@@ -9,18 +11,19 @@ import casimir
 import casimir.cli  # the benchmark worker imports these two as well
 import casimir.toy
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    """A perfbench module, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_attribute_exists():
-    tracer = _load_spans().Tracer()
+    tracer = _load("spans").Tracer()
     before = casimir.plane.lifshitz_integrand
     tracer.install(casimir)
     try:
@@ -28,3 +31,20 @@ def test_every_traced_attribute_exists():
     finally:
         tracer.uninstall()
     assert casimir.plane.lifshitz_integrand is before
+
+
+def test_benchmark_cases_feed_the_trace():
+    spans, workloads = _load("spans"), _load("workloads")
+    ids = {"plane/ideal/L=1e-06", "sphere/pec/LR=50/lmax=1", "sphere/pec/LR=12"}
+    cases = [c for name in ("plane_toy", "spheres")
+             for c in workloads.make_inputs(name, 7) if c["id"] in ids]
+    assert {c["id"] for c in cases} == ids
+    tracer = spans.Tracer()
+    tracer.install(casimir)
+    try:
+        metas = [(c["kind"], workloads.run_case(casimir, c)[1]) for c in cases]
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == {}
+    _, seen = spans.meta_metrics(metas)
+    assert seen == {"plane.meta", "sphere.meta"}
