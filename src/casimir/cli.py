@@ -236,8 +236,10 @@ def cmd_verify(args, cfg):
 def _sweep(args, cfg, lengths, energy_at, columns, extra):
     """One row per separation L: L, the energy, ``extra(L, result)``, the
     error estimate and a ``not_converged`` flag; each result's own warnings
-    go into the JSON ``warnings``. Returns 3 if any point did not converge."""
-    rows, warnings = [], []
+    go into the JSON ``warnings`` and its event counts into the JSON
+    ``events``, one entry per row with that row's L. Returns 3 if any point
+    did not converge."""
+    rows, warnings, events = [], [], []
     for L in map(float, lengths):
         try:
             res, flag = energy_at(L), ""
@@ -245,7 +247,8 @@ def _sweep(args, cfg, lengths, energy_at, columns, extra):
             res, flag = exc.result, "not_converged"
         rows.append([L, res.value, extra(L, res), res.error_estimate, flag])
         warnings += [f"L={L:.3e}: {w}" for w in res.metadata["warnings"]]
-    _emit(args, {"config_echo": cfg, "warnings": warnings}, columns, rows)
+        events.append({"L": FMT % L, **res.metadata["events"]})
+    _emit(args, {"config_echo": cfg, "warnings": warnings, "events": events}, columns, rows)
     return 3 if any(row[-1] for row in rows) else 0
 
 

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from casimir.cli import main
+from casimir.core import QuadratureSpec
+from casimir.materials import PerfectMirror
+from casimir.sphere import SphereSystem, sphere_energy
 
 
 def run_cli(argv):
@@ -190,6 +193,28 @@ class TestSphere:
         capsys.readouterr()
         assert xi == ["L=1.000e-06: quadrature not converged"]
         assert lmax == ["L=2.200e-07: lmax not converged"]
+
+
+    def test_events_reach_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sphere": {"R1": 1e-7, "R2": 1e-7, "lmax": 2},
+            "sweep": {"L_min": 1e-6, "L_max": 2e-6, "points": 2},
+            "quad": {"base_order": 16, "tol": 1e-4},
+        }))
+        out = tmp_path / "sphere.json"
+        assert run_cli(["sphere", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        pec = PerfectMirror()
+        expect = [
+            {"L": row["L"], **sphere_energy(
+                SphereSystem(R1=1e-7, R2=1e-7, L=float(row["L"]), mat1=pec, mat2=pec, lmax=2),
+                QuadratureSpec(base_order=16, tol=1e-4)).metadata["events"]}
+            for row in payload["rows"]]
+        assert payload["events"] == expect
+        assert set(expect[0]) == {"L", "xi_clamped", "mie_zeroed", "tol_floored"}
 
 
 class TestToyDos:
