@@ -20,20 +20,44 @@ C_LIGHT = 299792458.0  # m / s
 EVENTS = ("xi_clamped", "mie_zeroed", "tol_floored")
 
 
+# Spectral radius at which log_det_one_minus raises BranchRisk.
+_BRANCH_RHO = 1 - 1e-9
+# Frobenius norm below which log_det_one_minus sums -tr(M^k)/k for k <= 4:
+# the dropped terms add up to at most f^5 / (5 (1 - f)) <= eps there, below
+# the rounding of 1 - M that an LU factorisation starts from, and to at
+# most eps f for f < 1.8e-4.
+_SERIES_F = (4 * np.finfo(float).eps) ** 0.2
+
+
 def log_det_one_minus(m):
-    """log det(1 - M) as a sum of principal logs over the eigenvalues of M.
+    """log det(1 - M) on the principal branch of each eigenvalue's log.
 
     With every |lambda_i| < 1 each factor satisfies Re(1 - lambda_i) > 0,
-    so the per-eigenvalue principal branch can never wrap: the result is
-    branch-safe by construction. Each log keeps its relative accuracy for
-    small |lambda_i|: a weak round trip gives -lambda_i, not 0. For the
-    Hermitian-symmetric problems that arise on the imaginary frequency axis
-    the result is real and <= 0.
+    so the sum of the principal logs log(1 - lambda_i) can never wrap: the
+    result is branch-safe by construction. For the Hermitian-symmetric
+    problems that arise on the imaginary frequency axis the result is real
+    and <= 0.
+
+    Each matrix takes one of three routes, chosen by its Frobenius norm f,
+    which bounds its spectral radius rho:
+
+    - f < ``_SERIES_F`` (about 1e-3): the series -sum_{k<=4} tr(M^k)/k,
+      from one matrix product. It keeps the relative accuracy of a weak
+      round trip, for which det(1 - M) would round to 1.
+    - real M with f < 1 - 1e-9: one LU factorisation of 1 - M
+      (``np.linalg.slogdet``); rho <= f certifies the branch, and a real
+      det(1 - M) is then > 0. Rounding 1 - M leaves an absolute error of
+      a few eps per matrix.
+    - any other M (complex, or f >= 1 - 1e-9, as for a non-normal M of
+      small radius): the eigenvalues of M. Each log(1 - lambda) comes from
+      log1p for |lambda| < 0.5, so it keeps its relative accuracy for small
+      |lambda|, and from log|1 - lambda| elsewhere.
 
     ``m`` is one square matrix or a stack of shape (..., n, n). A stack is
-    validated once and goes through one stacked ``eigvals``; real input
-    stays real. Returns a complex for one matrix and a complex array of
-    shape ``m.shape[:-2]`` for a stack.
+    validated once and each route takes its matrices as one stack; a
+    matrix's result does not depend on the other matrices of its stack.
+    Returns a complex for one matrix and a complex array of shape
+    ``m.shape[:-2]`` for a stack.
 
     Raises
     ------
@@ -50,22 +74,51 @@ def log_det_one_minus(m):
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    # complex even when every eigenvalue of a real stack is real, so that
-    # a matrix's logs do not depend on the other matrices of its stack
-    lam = np.linalg.eigvals(m).astype(complex, copy=False)
-    rho = np.max(np.abs(lam), axis=-1)
-    if np.any(rho >= 1 - 1e-9):
-        worst = np.unravel_index(np.argmax(rho), rho.shape)
-        where = f" (matrix {worst} of the stack)" if rho.ndim else ""
-        raise BranchRisk(f"spectral radius {rho[worst]:.12f} >= 1{where}")
-    # log(1 + z), z = -lambda: for |z| < 0.5 the modulus comes from log1p,
-    # not from rounding 1 + z, to keep its relative precision for tiny |z|;
-    # elsewhere from |1 + z|, exact near z = -1 where log1p's argument cancels
-    z = -lam
-    modulus, small = np.log(np.abs(1.0 + z)), np.abs(z) < 0.5
-    modulus[small] = 0.5 * np.log1p(2.0 * z[small].real + np.abs(z[small]) ** 2)
-    out = np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real), axis=-1)
-    return complex(out) if m.ndim == 2 else out
+    shape, n = m.shape[:-2], m.shape[-1]
+    m = m.reshape(-1, n, n)
+    f = np.sqrt(np.einsum("kij,kij->k", m, m.conj()).real)
+    series = f < _SERIES_F
+    lu = ~series & (f < _BRANCH_RHO) & (not np.iscomplexobj(m))
+    eig = ~(series | lu)
+    out = np.empty(len(m), dtype=complex)
+    if series.any():
+        out[series] = _log_det_series(m if series.all() else m[series])
+    if lu.any():
+        one_minus = np.negative(m if lu.all() else m[lu])
+        one_minus[:, np.arange(n), np.arange(n)] += 1.0
+        out[lu] = np.linalg.slogdet(one_minus).logabsdet
+    if eig.any():
+        # complex even when every eigenvalue of a real stack is real, so that
+        # a matrix's logs do not depend on the other matrices of its stack
+        lam = np.linalg.eigvals(m if eig.all() else m[eig]).astype(complex, copy=False)
+        rho = np.zeros(len(m))
+        rho[eig] = np.max(np.abs(lam), axis=-1)
+        worst = int(np.argmax(rho))
+        if rho[worst] >= _BRANCH_RHO:
+            where = ""
+            if shape:
+                index = tuple(int(i) for i in np.unravel_index(worst, shape))
+                where = f" (matrix {index[0] if len(index) == 1 else index} of the stack)"
+            raise BranchRisk(f"spectral radius {rho[worst]:.12f} >= 1{where}")
+        # log(1 + z), z = -lambda: for |z| < 0.5 the modulus comes from
+        # log1p, not from rounding 1 + z, to keep its relative precision for
+        # tiny |z|; elsewhere from |1 + z|, exact near z = -1 where log1p's
+        # argument cancels
+        z = -lam
+        modulus, small = np.log(np.abs(1.0 + z)), np.abs(z) < 0.5
+        modulus[small] = 0.5 * np.log1p(2.0 * z[small].real + np.abs(z[small]) ** 2)
+        out[eig] = np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real), axis=-1)
+    return complex(out[0]) if not shape else out.reshape(shape)
+
+
+def _log_det_series(m):
+    """-sum_{k<=4} tr(M^k)/k for a stack of matrices, smallest term first."""
+    m2 = m @ m
+    t1 = np.einsum("kii->k", m)
+    t2 = np.einsum("kij,kji->k", m, m)
+    t3 = np.einsum("kij,kji->k", m2, m)
+    t4 = np.einsum("kij,kji->k", m2, m2)
+    return -(t4 / 4 + t3 / 3 + t2 / 2 + t1)
 
 
 @dataclass(frozen=True)

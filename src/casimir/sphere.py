@@ -41,6 +41,7 @@ from .core import (
 from .errors import DomainError
 from .materials import MaterialModel, Medium, PerfectMirror, VACUUM, eps_imag_axis
 from .spherical_bessel import riccati_si, riccati_sk, sk_array
+from .wigner import wigner3j
 
 
 @dataclass(frozen=True)
@@ -73,160 +74,9 @@ class SphereSystem:
         return max(5, int(np.ceil(10.0 * max(self.R1, self.R2) / self.gap)))
 
 
-# Bytes of one (j3, rows) work array of the 3j recurrence, and of one slice
-# of l' rows while a coefficient block is built: bounds the memory a build
-# needs beyond the block itself.
-_W3J_CHUNK_BYTES = 1 << 19
-
-
-def wigner3j(j1, j2, j3, m1, m2, m3):
-    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) for integer arguments.
-
-    With integer arguments, returns a float, 0.0 wherever a selection rule
-    fails. With ``j3=None`` it returns the symbols for every j3 at once:
-    j1, j2, m1, m2 and m3 broadcast like numpy arrays to a shape S, and the
-    result has shape S + (max(j1 + j2) + 1,), its entry [..., j3] holding
-    (j1 j2 j3; m1 m2 m3) (zero outside each triangle).
-
-    (j1 j2 j3; 0 0 0) comes from its closed form (``_wigner3j_zero_m``).
-    Every other row comes from the three-term recurrence in j3 of Schulten
-    & Gordon (J. Math. Phys. 16, 1961 (1975)), run over all rows at once as
-    in Luscombe & Luban (Phys. Rev. E 57, 7274 (1998)); see
-    ``_wigner3j_rows``. Measured against sympy's exact symbols: within
-    1.3e-16 absolute for j <= 40, 5.2e-16 relative for (60 60 60; 0 0 0)
-    and 3e-15 relative for the tiny (50 50 100; 50 -50 0) = 2.3e-31; the
-    orthogonality defect |sum_j3 (2 j3 + 1) (j j j3; m -m 0)^2 - 1| is at
-    most 6.7e-16 up to j = 200 and 2e-15 at j = 300 (m = 0, 1, j/3, j/2,
-    j - 1, j).
-    """
-    if j3 is not None:
-        table = wigner3j(j1, j2, None, m1, m2, m3)
-        out = table[..., j3] if 0 <= j3 < table.shape[-1] else np.zeros(table.shape[:-1])
-        return float(out) if out.ndim == 0 else out
-    j1, j2, m1, m2, m3 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.int64) for a in (j1, j2, m1, m2, m3)))
-    nj3 = int(np.max(j1 + j2, initial=0)) + 1
-    ok = (j1 >= 0) & (j2 >= 0) & (abs(m1) <= j1) & (abs(m2) <= j2) & (m1 + m2 + m3 == 0)
-    if not (m1.any() or m2.any() or m3.any()):
-        out = _wigner3j_zero_m(np.where(ok, j1, 0), np.where(ok, j2, 0), nj3)
-        if not ok.all():
-            out *= ok[..., None]
-        return out
-    shape = j1.shape
-    j1, j2, m1, m2, ok = (a.ravel() for a in (j1, j2, m1, m2, ok))
-    out = np.zeros((j1.size, nj3))
-    rows = np.flatnonzero(ok)
-    # rows per recurrence call, so that one (j3, rows) work array stays
-    # within _W3J_CHUNK_BYTES
-    step = max(1, _W3J_CHUNK_BYTES // (8 * nj3))
-    for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        out[r] = _wigner3j_rows(j1[r], j2[r], m1[r], m2[r], nj3).T
-    return out.reshape(shape + (nj3,))
-
-
-def _wigner3j_zero_m(j1, j2, nj3):
-    """(j1 j2 j3; 0 0 0) for j3 = 0 .. nj3 - 1 along a new last axis.
-
-    Closed form: for even j1 + j2 + j3 = 2g inside the triangle,
-    (-1)^g sqrt(h(g - j1) h(g - j2) h(g - j3) / ((2g + 1) h(g))) with
-    h(k) = binom(2k, k) / 4^k = prod_{i <= k} (2i - 1) / (2i), a product of
-    factors below one that neither overflows nor cancels. With
-    a(x) = sqrt(h(x / 2)) for even x >= 0 (0 for odd or negative x) the
-    symbol is a(d + j3) a(j3 - d) * a(s - j3) b(s + j3), d = j2 - j1,
-    s = j1 + j2: one small table in (d, j3) times one in (s, j3).
-    """
-    j3 = np.arange(nj3)
-    k = np.arange(1, nj3 + 1)
-    h = np.concatenate([[1.0], np.cumprod((2 * k - 1) / (2 * k))])  # k = 0 .. nj3
-    x = np.arange(2 * nj3 + 1)
-    even = x % 2 == 0
-    # the appended 0 is a(-1), where every negative argument is clipped
-    a = np.append(np.where(even, np.sqrt(h[x // 2]), 0.0), 0.0)
-    b = np.where(even, (-1.0) ** (x // 2) / np.sqrt((x + 1) * h[x // 2]), 0.0)
-    d = np.arange(int(np.min(j2 - j1, initial=0)), int(np.max(j2 - j1, initial=0)) + 1)[:, None]
-    s = np.arange(int(np.min(j1 + j2, initial=0)), nj3)[:, None]
-    by_d = a[np.maximum(d + j3, -1)] * a[np.maximum(j3 - d, -1)]
-    by_s = a[np.maximum(s - j3, -1)] * b[s + j3]
-    out = by_d[j2 - j1 - d[0, 0]]
-    out *= by_s[j1 + j2 - s[0, 0]]
-    return out
-
-
-def _wigner3j_rows(j1, j2, m1, m2, nj3):
-    """(j1 j2 j3; m1 m2 -m1-m2) for j3 = 0 .. nj3 - 1 (axis 0) and the rows
-    given by the 1-d arrays j1, j2, m1, m2 (axis 1); needs |m1| <= j1,
-    |m2| <= j2 and nj3 > max(j1 + j2).
-
-    Schulten-Gordon's recurrence, divided by j3 (j3 + 1):
-
-        alpha(j3 + 1) f(j3 + 1) + beta(j3) f(j3) + alpha(j3) f(j3 - 1) = 0
-
-    with alpha vanishing at the triangle ends j3 = lo and j3 = hi + 1. In
-    this form it stays regular at j3 = 0, the start of the rows
-    (j j j3; m -m 0), where the undivided one reads 0 = 0. Each row runs
-    forward from lo and backward from hi, each in the direction in which
-    the solution grows, up to a meeting point inside the classically
-    allowed region (where beta^2 / (alpha alpha) is smallest), is matched
-    there by least squares over two points, normalised by
-    sum_j3 (2 j3 + 1) f^2 = 1 and signed by sign f(hi) = (-1)^(j1-j2-m3).
-    """
-    m3 = -(m1 + m2)
-    lo = np.maximum(abs(j1 - j2), abs(m3))
-    hi = j1 + j2
-    nrow = j1.size
-    cols = np.arange(nrow)
-    # alpha, beta on j3 = -1 .. nj3 + 1: index i holds j3 = i - 1
-    j = np.arange(-1.0, nj3 + 2)[:, None]
-    jj = j * j
-    alpha = np.sqrt(np.maximum(
-        (jj - (j1 - j2) ** 2) * ((hi + 1) ** 2 - jj) * (jj - m3 * m3), 0.0))
-    alpha /= np.maximum(abs(j), 1.0)
-    beta = (2 * j + 1) * ((m2 - m1) - m3 * (j1 * (j1 + 1) - j2 * (j2 + 1))
-                          / np.maximum(jj + j, 1.0))
-    a_prev, a_here, a_next, a_next2 = (alpha[i:i + nj3] for i in range(4))
-    b_prev, b_here, b_next = (beta[i:i + nj3] for i in range(3))
-    jr = j[1:nj3 + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = b_here**2 / (a_here * a_next)
-    ratio[(jr <= lo) | (jr >= hi)] = np.inf
-    mid = np.where(hi - lo > 1, ratio.argmin(axis=0), lo)
-    # forward f(j3) = -p f(j3-1) - q f(j3-2) for lo < j3 <= mid + 1 in
-    # columns :nrow; backward g(j3) = -p g(j3+1) - q g(j3+2) for
-    # mid <= j3 < hi in columns nrow:, stored in reversed j3 order so that
-    # both run in one loop
-    fwd = (jr > lo) & (jr <= np.minimum(mid + 1, hi))
-    bwd = (jr >= mid) & (jr < hi)
-    p, q = np.zeros((2, nj3, 2 * nrow))
-    np.divide(b_prev, a_here, out=p[:, :nrow], where=fwd)
-    np.divide(a_prev, a_here, out=q[:, :nrow], where=fwd)
-    np.divide(b_next, a_next, out=p[::-1, nrow:], where=bwd)
-    np.divide(a_next2, a_next, out=q[::-1, nrow:], where=bwd)
-    # rows 0, 1 and nj3 + 2 are zero padding; fg[2 + i] holds step i
-    fg = np.zeros((nj3 + 3, 2 * nrow))
-    fg[2 + lo, cols] = 1.0
-    fg[2 + (nj3 - 1 - hi), nrow + cols] = 1.0
-    t = np.empty(2 * nrow)
-    for i in range(nj3):
-        row = fg[i + 2]
-        np.multiply(p[i], fg[i + 1], out=t)
-        row -= t
-        np.multiply(q[i], fg[i], out=t)
-        row -= t
-        if i % 8 == 7:
-            big = np.abs(row) > 1e200
-            if big.any():
-                fg[:i + 3, big] *= 1e-200
-    fg /= np.abs(fg).max(axis=0)
-    f = fg[2:nj3 + 2, :nrow]
-    g = fg[nj3 + 1:0:-1, nrow:]  # g[i] holds j3 = i, for i = 0 .. nj3
-    f0, f1, g0, g1 = f[mid, cols], fg[mid + 3, cols], g[mid, cols], g[mid + 1, cols]
-    c = (f0 * g0 + f1 * g1) / (g0 * g0 + g1 * g1)
-    out = np.where(jr <= mid, f, c * g[:nj3])
-    norm = np.sqrt(np.sum((2 * jr + 1) * out * out, axis=0))
-    sign = np.where(hi > mid, np.sign(c), 1.0) * np.where((j1 - j2 - m3) % 2, -1.0, 1.0)
-    out *= sign / norm
-    return out
+# Bytes of one array of pair coefficients while a block too large to cache
+# is built (``_axial_sums``; four such arrays are alive at a time).
+_PAIR_CHUNK_BYTES = 1 << 18
 
 
 def _build_axial_coeffs(lmax, m):
@@ -248,40 +98,55 @@ def _build_axial_coeffs(lmax, m):
 
     with N = (-1)^(l+m) sqrt((2l+1)(2l'+1) / (l(l+1) l'(l'+1))) / pi. The
     first 3j symbol confines cA to even l + l' + lam and cC to odd; the
-    mixing block vanishes at m = 0.
+    mixing block vanishes at m = 0. Apart from the sign of N both are
+    symmetric in l <-> l', so c[l, l'] = (-1)^(l+l') c[l', l] (reciprocity):
+    only the pairs l' <= l are computed (``_pair_coeffs``).
     """
-    m = abs(m)
-    lmin = max(1, m)
+    lmin, ls, iu, ju, parity = _pairs(lmax, m)
+    n = ls.size
+    pair_a, pair_c = _pair_coeffs(lmax, m, ls[iu], ls[ju])
+    cA = np.empty((n, n, pair_a.shape[-1]))
+    cC = np.empty_like(cA)
+    for c, pair in ((cA, pair_a), (cC, pair_c)):
+        c[iu, ju] = pair
+        pair *= parity[:, None]
+        c[ju, iu] = pair
+    return lmin, cA, cC
+
+
+def _pairs(lmax, m):
+    """(l_min, ls, iu, ju, parity) of the m-block: its orders ls, the index
+    pairs iu <= ju of its upper triangle and (-1)^(l + l') on each pair."""
+    lmin = max(1, abs(m))
     if lmin > lmax:
         raise DomainError("|m| must not exceed lmax")
     ls = np.arange(lmin, lmax + 1)
-    n = ls.size
-    nlam = 2 * lmax + 2
-    lam = np.arange(nlam)
-    # (l l' lam; m -m 0) is symmetric in l <-> l': one row per pair l <= l'
-    iu, ju = np.triu_indices(n)
-    tm = wigner3j(ls[iu], ls[ju], None, m, -m, 0)
-    cC = np.zeros((n, n, nlam))
-    cC[iu, ju, :-1] = cC[ju, iu, :-1] = tm
+    iu, ju = np.triu_indices(ls.size)
+    return lmin, ls, iu, ju, np.where((iu + ju) % 2, -1.0, 1.0)
+
+
+def _pair_coeffs(lmax, m, lp, l):
+    """(cA[l', l], cC[l', l]) of ``_build_axial_coeffs`` for the pairs
+    l' <= l given by the 1-d arrays lp and l: two (pairs, 2 lmax + 2)
+    arrays."""
+    m = abs(m)
+    lam = np.arange(2 * lmax + 2)
+    tm = wigner3j(lp, l, None, m, -m, 0)  # (l' l lam; m -m 0)
+    t0 = tm if m == 0 else wigner3j(l, lp, None, 0, 0, 0)  # (l l' lam; 0 0 0)
+    k = t0.shape[-1]
+    ratio_p, ratio = ((2 * x + 1) / (x * (x + 1.0)) for x in (lp, l))
+    cC = np.zeros((l.size, lam.size))
+    cC[:, :k] = tm
     del tm
-    ratio = (2 * ls + 1) / (ls * (ls + 1.0))
-    cC *= (np.where((ls + m) % 2, -1.0, 1.0) * np.sqrt(ratio[:, None] * ratio) / np.pi)[..., None]
+    cC *= (np.where((l + m) % 2, -1.0, 1.0) * np.sqrt(ratio_p * ratio) / np.pi)[:, None]
     cC *= 2 * lam + 1
-    # rows l' in slices of at most _W3J_CHUNK_BYTES, so that no third
-    # (n, n, nlam) array is needed next to cA and cC
     cA = np.zeros_like(cC)
-    step = max(1, _W3J_CHUNK_BYTES // (8 * n * nlam))
-    for i in range(0, n, step):
-        r = slice(i, i + step)
-        lp = ls[r, None, None]
-        t0 = wigner3j(ls, lp[..., 0], None, 0, 0, 0)  # (l l' lam; 0 0 0), lam < k
-        k = t0.shape[-1]
-        np.multiply(cC[r, :, :k], t0, out=cA[r, :, :k])
-        cA[r] *= (ls * (ls + 1))[:, None] + lp * (lp + 1) - lam * (lam + 1)
-        cC[r, :, 1:k + 1] *= t0  # (l l' lam-1; 0 0 0); lam = 0 has a zero root
-        cC[r] *= np.sqrt(np.maximum(
-            (lam**2 - (ls[:, None] - lp) ** 2) * ((ls[:, None] + lp + 1) ** 2 - lam**2), 0))
-    return lmin, cA, cC
+    np.multiply(cC[:, :k], t0, out=cA[:, :k])
+    cA *= (l * (l + 1) + lp * (lp + 1))[:, None] - lam * (lam + 1)
+    cC[:, 1:k + 1] *= t0  # (l l' lam-1; 0 0 0); lam = 0 has a zero root
+    lp, l = lp[:, None], l[:, None]
+    cC *= np.sqrt(np.maximum((lam**2 - (l - lp) ** 2) * ((l + lp + 1) ** 2 - lam**2), 0))
+    return cA, cC
 
 
 # Blocks whose two tensors take at most _CACHE_BLOCK_BYTES stay cached, at
@@ -290,39 +155,61 @@ _CACHE_BLOCK_BYTES = 1 << 19
 _axial_coeff_tensors = lru_cache(maxsize=32)(_build_axial_coeffs)
 
 
-def _axial_coeffs(lmax, m):
-    """(l_min, cA, cC) of the m-block at truncation lmax (see
-    ``_build_axial_coeffs``), from ``_axial_coeff_tensors``'s cache when the
-    block is small enough to keep.
+def _axial_sums(lmax, m, sk, step):
+    """The translation sums sum_lam c[l', l, lam] sk[node, lam] of the
+    m-block at truncation lmax (c: ``_build_axial_coeffs``'s coefficients),
+    for the rows of ``sk``: yields (node slice, A, C) for consecutive slices
+    of ``step`` nodes, A and C as (nodes, n, n) stacks.
 
-    All m-blocks at lmax 24 take 4.4 MB and every one of them is kept; all
-    blocks at lmax 50 would take 74 MB and only those with n <= 17 are
-    kept (2.9 MB). A rebuild costs O(n^2 lmax), a quadrature pass over the
-    block O(nodes n^3).
+    A block whose two tensors fit ``_CACHE_BLOCK_BYTES`` comes from
+    ``_axial_coeff_tensors``'s cache: all m-blocks at lmax 24 take 4.4 MB
+    and every one of them is kept; at lmax 50 only those with n <= 17 are
+    kept (2.9 MB). A larger block is never held whole: its coefficients are
+    built for a few pairs l' <= l at a time, at most _PAIR_CHUNK_BYTES per
+    array, and each such chunk is contracted with all rows of ``sk`` at
+    once. The block then takes 8 nodes n (n + 1) bytes instead of the
+    tensors' 16 n^2 (2 lmax + 2), and a rebuild costs O(n^2 lmax) against
+    a quadrature pass's O(nodes n^3).
     """
-    n = lmax - max(1, abs(m)) + 1
-    if 16 * n * n * (2 * lmax + 2) <= _CACHE_BLOCK_BYTES:
-        return _axial_coeff_tensors(lmax, m)
-    return _build_axial_coeffs(lmax, m)
+    m = abs(m)
+    n = lmax - max(1, m) + 1
+    nlam = 2 * lmax + 2
+    slices = [slice(lo, lo + step) for lo in range(0, len(sk), step)]
+    if 16 * n * n * nlam <= _CACHE_BLOCK_BYTES:
+        _, cA, cC = _axial_coeff_tensors(lmax, m)
+        for sl in slices:
+            yield sl, _contract(cA, sk[sl]), _contract(cC, sk[sl])
+        return
+    _, ls, iu, ju, parity = _pairs(lmax, m)
+    sums = np.empty((2, len(sk), iu.size))
+    chunk = max(1, _PAIR_CHUNK_BYTES // (8 * nlam))
+    for lo in range(0, iu.size, chunk):
+        pairs = slice(lo, lo + chunk)
+        for out, coeff in zip(sums, _pair_coeffs(lmax, m, ls[iu[pairs]], ls[ju[pairs]])):
+            out[:, pairs] = _contract(coeff, sk)
+    for sl in slices:
+        a, c = np.empty((2, len(sk[sl]), n, n))
+        for block, pair in ((a, sums[0, sl]), (c, sums[1, sl])):
+            block[:, iu, ju] = pair
+            block[:, ju, iu] = pair * parity
+        yield sl, a, c
 
 
 def _contract(coeff, sk):
-    """sum_lam coeff[l', l, lam] sk[node, lam] as a (nodes, n, n) stack.
+    """sum_lam coeff[..., lam] sk[node, lam] as a (nodes, ...) array.
 
     Calls BLAS dgemm for any number of nodes (numpy's matmul takes gemv for
     a single one), so a node's sums are the same bits whichever nodes share
-    its slice."""
-    n = coeff.shape[0]
-    flat = coeff.reshape(n * n, -1)
-    return dgemm(1.0, flat.T, sk.T, trans_a=True).T.reshape(-1, n, n)
+    its call."""
+    flat = coeff.reshape(-1, coeff.shape[-1])
+    return dgemm(1.0, flat.T, sk.T, trans_a=True).T.reshape((-1,) + coeff.shape[:-1])
 
 
 def _translation_blocks_scaled(lmax, m, w):
     """(A, C) blocks of the +z translation with the e^w scaling factored
     out (entries are Sum c_lam sk_lam(w), sk = e^w k)."""
-    lmin, cA, cC = _axial_coeffs(lmax, abs(m))
-    sk = sk_array(2 * lmax + 1, w)[None]
-    return lmin, _contract(cA, sk)[0], _contract(cC, sk)[0]
+    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
+    return max(1, abs(m)), a[0], c[0]
 
 
 def translation_block(lmax, m, xi, L, direction=+1):
@@ -457,30 +344,31 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
     # common exponential: Mie e^{2x} growth against translation e^{-w} decay
     damp = np.exp(2.0 * (x1 + x2 - w))
     sk = sk_array(2 * lmax + 1, w)
+    root_damp = np.sqrt(damp)[:, None]
     total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
-        lmin, cA, cC = _axial_coeffs(lmax, m)
+        lmin = max(1, m)
         n = lmax - lmin + 1
-        flip = _reverse_signs(lmin, lmax)
-        r1 = np.concatenate([a1[:, lmin - 1:], b1[:, lmin - 1:]], axis=1)
-        r2 = np.concatenate([a2[:, lmin - 1:], b2[:, lmin - 1:]], axis=1)
+        # M = R1 T12 R2 T21 with T21 = D T12^T D, D = diag(1_E, -1_M), is
+        # similar to N = diag(s_q) G diag(s_p) G^T, where q = D r1 and
+        # p = D r2 have the signs s_q, s_p and G = sqrt(damp |q|) T12
+        # sqrt(|p|) is well scaled, where M's entries reach 9e99
+        q = np.concatenate([a1[:, lmin - 1:], -b1[:, lmin - 1:]], axis=1)
+        p = np.concatenate([a2[:, lmin - 1:], -b2[:, lmin - 1:]], axis=1)
+        row, col = root_damp * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
-        for lo in range(0, nodes.size, step):
-            sl = slice(lo, lo + step)
-            a12, c12 = _contract(cA, sk[sl]), _contract(cC, sk[sl])
-            t12 = np.empty((len(a12), 2 * n, 2 * n))
-            t12[:, :n, :n] = t12[:, n:, n:] = a12
-            t12[:, :n, n:] = t12[:, n:, :n] = c12
-            # M = R1 T12 R2 T21, with T21 the reverse translation of T12
-            t21 = t12 * flip
-            t21 *= r2[sl, :, None]
-            t12 *= r1[sl, :, None]
-            mm = t12 @ t21
-            mm *= damp[sl, None, None]
-            total[sl] += weight * log_det_one_minus(mm).real
-        # drop this m's block and stacks before the next block is built
-        cA = cC = a12 = c12 = t12 = t21 = mm = None
+        for sl, a12, c12 in _axial_sums(lmax, m, sk, step):
+            g = np.empty((len(a12), 2 * n, 2 * n))
+            g[:, :n, :n] = g[:, n:, n:] = a12
+            g[:, :n, n:] = g[:, n:, :n] = c12
+            g *= row[sl, :, None]
+            g *= col[sl, None, :]
+            nn = (g * np.sign(p[sl, None, :])) @ g.transpose(0, 2, 1)
+            nn *= np.sign(q[sl, :, None])
+            total[sl] += weight * log_det_one_minus(nn).real
+            # drop this slice's stacks before the next slice is built
+            a12 = c12 = g = nn = None
     return float(total[0]) if xi.ndim == 0 else total
 
 

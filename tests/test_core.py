@@ -180,3 +180,59 @@ class TestEnergyResult:
     def test_constants(self):
         assert core.HBAR == 1.054571817e-34
         assert core.C_LIGHT == 299792458.0
+
+
+def _eig_reference(m):
+    """sum of log(1 - lambda) over the eigenvalues of one matrix, each log
+    from log1p where |lambda| is small (the eigenvalue route)."""
+    z = -np.linalg.eigvals(m).astype(complex)
+    modulus = np.where(np.abs(z) < 0.5,
+                       0.5 * np.log1p(2.0 * z.real + np.abs(z) ** 2), np.log(np.abs(1.0 + z)))
+    return np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real))
+
+
+class TestLogDetRoutes:
+    """log_det_one_minus takes the series, an LU factorisation or the
+    eigenvalues of each matrix, by its Frobenius norm f."""
+
+    @staticmethod
+    def _stack():
+        rng = np.random.default_rng(8)
+        weak = rng.standard_normal((6, 6))
+        weak *= 1e-6 / np.linalg.norm(weak)
+        certified = rng.standard_normal((6, 6))
+        certified *= 0.5 / np.linalg.norm(certified)
+        # spectral radius 0.95 with f > 3: only the eigenvalues can certify it
+        non_normal = 0.95 * np.eye(6) + 3.0 * np.eye(6, k=1)
+        return np.stack([weak, certified, non_normal, 0.5 * weak, -certified])
+
+    def test_each_route_matches_eigenvalues(self):
+        stack = self._stack()
+        f = np.linalg.norm(stack, axis=(-2, -1))
+        assert f[0] < core._SERIES_F < f[1] < 1 - 1e-9 < f[2]
+        out = log_det_one_minus(stack)
+        for got, m in zip(out, stack):
+            want = _eig_reference(m)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        stack = self._stack()
+        out = log_det_one_minus(stack)
+        for i, m in enumerate(stack):
+            assert out[i] == log_det_one_minus(m)
+        # and whatever other matrices share the stack
+        for i in range(len(stack)):
+            assert log_det_one_minus(stack[i:i + 2])[0] == out[i]
+
+    def test_series_keeps_relative_precision(self):
+        m = np.array([[1e-20, 3e-21], [-2e-21, -4e-20]])
+        # -tr(M) - tr(M^2)/2: the second term is 1e-40 and drops out
+        assert log_det_one_minus(m).real == pytest.approx(3e-20, rel=1e-15)
+
+    def test_branch_risk_names_the_uncertified_matrix(self):
+        stack = self._stack()
+        stack[2] = (1 - 1e-10) * np.eye(6) + 3.0 * np.eye(6, k=1)
+        with pytest.raises(BranchRisk, match=r"matrix 2 of the stack"):
+            log_det_one_minus(stack)
+        with pytest.raises(BranchRisk, match=r"matrix \(1, 0\) of the stack"):
+            log_det_one_minus(stack[1:3].reshape(2, 1, 6, 6))

@@ -339,3 +339,53 @@ class TestSphereEnergy:
             SphereSystem(1e-7, 1e-7, 1.5e-7, PEC, PEC)
         with pytest.raises(DomainError):
             SphereSystem(1e-7, 1e-7, 1e-6, PEC, PEC, medium=ConstantEps(2.0))
+
+
+class TestRescaledRoundTrip:
+    """The energy loop takes log det(1 - N), N = diag(s_q) G diag(s_p) G^T,
+    for log det(1 - M), M = R1 T12 R2 T21; N is similar to M because the
+    reverse translation is T21 = D T12^T D, D = diag(1_E, -1_M)."""
+
+    @pytest.mark.parametrize("lmax", range(1, 13))
+    def test_reverse_translation_is_reflected_transpose(self, lmax):
+        L = 1e-6
+        for w in (1e-3, 0.1, 1.0, 7.0, 30.0):
+            xi = w * C_LIGHT / L
+            for m in range(-lmax, lmax + 1):
+                fwd = translation_block(lmax, m, xi, L, +1)
+                d = np.ones(len(fwd))
+                d[len(fwd) // 2:] = -1.0
+                rev = translation_block(lmax, m, xi, L, -1)
+                err = np.abs(rev - d[:, None] * fwd.T * d).max()
+                assert err <= 1e-14 * np.abs(fwd).max()
+
+    @pytest.mark.parametrize("sys_", [
+        SphereSystem(1e-7, 1e-7, 2.6e-7, PEC, PEC),
+        SphereSystem(1e-7, 1e-7, 3e-7, Drude(1.37e16, 5.3e13), Drude(1.37e16, 5.3e13)),
+        SphereSystem(1.5e-7, 1e-7, 3.2e-7, ConstantEps(4.0), ConstantEps(9.0)),
+    ], ids=["pec", "drude", "unequal-eps"])
+    def test_log_det_equals_that_of_the_round_trip(self, sys_):
+        from casimir.sphere import _mie_scaled, _translation_blocks_scaled
+
+        lmax = 8
+        for w in (0.3, 1.0, 3.0, 10.0, 30.0):
+            xi = w * C_LIGHT / sys_.L
+            a1, b1 = _mie_scaled(sys_.mat1, sys_.R1, xi, lmax)
+            a2, b2 = _mie_scaled(sys_.mat2, sys_.R2, xi, lmax)
+            damp = np.exp(2 * xi * (sys_.R1 + sys_.R2 - sys_.L) / C_LIGHT)
+            want = 0.0
+            for m in range(-lmax, lmax + 1):
+                lmin, a12, c12 = _translation_blocks_scaled(lmax, abs(m), w)
+                sl = slice(lmin - 1, lmax)
+                r1 = np.concatenate([a1[sl], b1[sl]])
+                r2 = np.concatenate([a2[sl], b2[sl]])
+                ls = np.arange(lmin, lmax + 1)
+                par = (-1.0) ** (ls[:, None] + ls[None, :])
+                t12 = np.block([[a12, c12], [c12, a12]])
+                t21 = np.block([[a12 * par, -c12 * par], [-c12 * par, a12 * par]])
+                z = -np.linalg.eigvals((r1[:, None] * t12) @ (r2[:, None] * t21) * damp)
+                want += np.sum(0.5 * np.log1p(2 * z.real + np.abs(z) ** 2))
+            # an LU factorisation of 1 - N rounds its diagonal: an absolute
+            # error of a few eps per m-block
+            got = _round_trip_logdet_sum(sys_, xi, lmax)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -14,9 +14,12 @@ from casimir.materials import PerfectMirror
 from casimir.sphere import (
     SphereSystem,
     _axial_coeff_tensors,
+    _axial_sums,
+    _build_axial_coeffs,
     _round_trip_logdet_sum,
     wigner3j,
 )
+from casimir.spherical_bessel import sk_array
 
 
 @lru_cache(maxsize=None)
@@ -148,3 +151,29 @@ def test_cache_keeps_few_bytes_after_lmax_50():
         tracemalloc.stop()
     assert np.all(np.isfinite(value)) and np.all(value < 0)
     assert retained <= 8 * 2**20
+
+
+@pytest.mark.parametrize("m", [0, 1, 7])
+def test_large_block_sums_match_its_tensors(m):
+    # lmax 30: every block with n >= 22 is too large to cache and is
+    # contracted chunk by chunk while it is built
+    sk = sk_array(61, np.array([0.5, 2.0, 9.0]))
+    _, cA, cC = _build_axial_coeffs(30, m)
+    assert 16 * cA[..., 0].size * cA.shape[-1] > 2**19
+    for sl, a, c in _axial_sums(30, m, sk, 2):
+        for got, coeff in ((a, cA), (c, cC)):
+            want = np.einsum("ijl,kl->kij", coeff, sk[sl])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_large_block_never_holds_its_tensors():
+    # the two tensors of the lmax-100 m = 0 block take 32 MB
+    sk = sk_array(201, np.array([6.0, 30.0]))
+    tracemalloc.start()
+    try:
+        for _, a, c in _axial_sums(100, 0, sk, 1):
+            assert a.shape == c.shape == (1, 100, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
