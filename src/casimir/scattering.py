@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockmat
-from .blockmat import UNITARITY_TOL, as_complex_matrix, logdet
+from .blockmat import as_complex_matrix, logdet
 from .errors import BranchJump, ChannelMismatch, ResonantSingular
 
 
@@ -104,17 +104,15 @@ class ScatteringMatrix:
     def unitarity_defect(self):
         return blockmat.unitarity_defect(self.assemble())
 
-    def require_unitary(self, tol=UNITARITY_TOL, name="scattering matrix"):
-        blockmat.require_unitary(self.assemble(), tol=tol, name=name)
+    def require_unitary(self, name="scattering matrix"):
+        blockmat.require_unitary(self.assemble(), name=name)
 
 
-def transparent(n_int, n_ext=None):
-    """Pass-through scatterer: no backscattering, unit transmission."""
-    n_ext = n_int if n_ext is None else n_ext
-    if n_ext != n_int:
-        raise ChannelMismatch("transparent scatterer needs n_ext = n_int")
-    z = np.zeros((n_int, n_int))
-    eye = np.eye(n_int)
+def transparent(n):
+    """Pass-through scatterer with n internal and n external channels: no
+    backscattering, unit transmission."""
+    z = np.zeros((n, n))
+    eye = np.eye(n)
     return ScatteringMatrix(z, eye, eye, z)
 
 
@@ -288,13 +286,15 @@ def alpha_phase(s1: ScatteringMatrix, s2: ScatteringMatrix):
 
 
 def chain3_factorization_residual(
-    s1: ScatteringMatrix, sl: ScatteringMatrix, s2: ScatteringMatrix, t12=None, t21=None
+    s1: ScatteringMatrix, sl: ScatteringMatrix, s2: ScatteringMatrix
 ):
     """Defect of the three-factor chain identity
 
         det(S1 * SL * S2) = det(S1) det(S2) det(SL) det(D21)/det(D21)*
 
-    with D21 = (1 - S1ii T12 S2ii T21)^-1, plus the intermediate identity
+    with D21 = (1 - S1ii T12 S2ii T21)^-1, T12 and T21 the one-way
+    transmission blocks of sl (its ie / ei couplings between the two
+    object-facing sides), plus the intermediate identity
     det(SL * S2) = (-1)^n_int det(SL) det(S2) that holds because the
     translation scatterer cannot produce internal round trips (SLii = 0).
 
@@ -303,9 +303,6 @@ def chain3_factorization_residual(
     s1, sl, s2 : ScatteringMatrix
         Chain factors; sl must have a vanishing internal-internal block and
         externals ordered [left-facing channels, environment ports].
-    t12, t21 : array_like, optional
-        One-way transmission blocks of sl. Default: read off sl (its ie /
-        ei couplings between the two object-facing sides).
 
     Returns
     -------
@@ -320,12 +317,8 @@ def chain3_factorization_residual(
         raise ChannelMismatch("chain factors must share the internal channel count")
     if np.max(np.abs(sl.ii)) > 1e-12:
         raise ChannelMismatch("translation scatterer must have SLii = 0")
-    if t12 is None:
-        t12 = sl.ie[:, :n]  # transmission from the side-1 externals to side 2
-    if t21 is None:
-        t21 = sl.ei[:n, :]
-    t12 = as_complex_matrix(t12, "T12")
-    t21 = as_complex_matrix(t21, "T21")
+    t12 = sl.ie[:, :n]  # transmission from the side-1 externals to side 2
+    t21 = sl.ei[:n, :]
 
     # intermediate: det(SL * S2) = (-1)^n det(SL) det(S2)
     mid = star(sl, s2)
@@ -349,14 +342,14 @@ def chain3_factorization_residual(
     return float(max(res_mid, res_full))
 
 
-def phase_shift(s: ScatteringMatrix, tol=UNITARITY_TOL):
+def phase_shift(s: ScatteringMatrix):
     """Total scattering phase shift (1/2i) log det S.
 
     Computed as half the sum of the principal arguments of the eigenvalues
     of the assembled matrix, hence real and defined modulo pi.
     """
     full = s.assemble() if isinstance(s, ScatteringMatrix) else as_complex_matrix(s)
-    blockmat.require_unitary(full, tol=tol, name="S")
+    blockmat.require_unitary(full, name="S")
     args = np.angle(np.linalg.eigvals(full))
     return float(0.5 * np.sum(args))
 

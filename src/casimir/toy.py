@@ -7,9 +7,13 @@ frequency band [a, b]: integrating the scattering phase shift, and
 integrating the density-of-states change weighted by the mode energy.
 The two are related by an integration by parts, so the phase-shift route
 carries the boundary term (hbar/2 pi) [w dphi]_a^b; with it included the
-routes agree to quadrature accuracy. The distance-dependent phase is
-referenced against the bare translation so that removing the mirrors
-gives exactly zero.
+routes agree to quadrature accuracy.
+
+The phase and its derivative are those of the whole cavity, with no
+reference subtracted: the translation between the mirrors is lossless at
+real frequency, the dilation of [[0, t], [t, 0]] with |t| = 1, so
+det S_L = |t|^4 = 1 at every frequency and its phase adds nothing to
+either route. A lossy gap would make it move and need the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from .core import C_LIGHT, HBAR, gauss_legendre_01
 from .errors import BranchJump, NotContraction
 from .scattering import (
     ScatteringMatrix,
+    dos_change,
     matched_phase_increment,
+    phase_shift,
     promote_internal,
     star,
     translation_scatterer,
@@ -48,7 +54,7 @@ def lossy_mirror(r, t, facing):
 
 def cavity(omega, L, r, t, mirrors=None):
     """Assembled unitary scattering matrix of the lossy cavity at a real
-    frequency, plus the bare translation reference.
+    frequency, plus the bare translation between the mirrors.
 
     ``mirrors`` allows reusing the (frequency-independent) mirror pair
     across calls.
@@ -65,12 +71,12 @@ def cavity(omega, L, r, t, mirrors=None):
 def phase_profile(samples):
     """Branch-continuous phase shifts for a sequence of unitary matrices.
 
-    The first value is the principal phase shift; subsequent values follow
-    by nearest-branch matching of the eigenphases between neighbours.
+    The first value is the principal phase shift (``phase_shift``);
+    subsequent values follow by nearest-branch matching of the eigenphases
+    between neighbours.
     """
     out = np.empty(len(samples))
-    args = np.angle(np.linalg.eigvals(samples[0].assemble()))
-    out[0] = 0.5 * float(np.sum(args))
+    out[0] = phase_shift(samples[0])
     for i in range(1, len(samples)):
         inc, worst = matched_phase_increment(samples[i - 1], samples[i])
         if worst >= np.pi / 2:
@@ -80,19 +86,15 @@ def phase_profile(samples):
 
 
 def _dos_rel(omega, h, L, r, t, mirrors):
-    """Richardson-extrapolated density-of-states change of the cavity
-    relative to the bare translation."""
+    """Density-of-states change of the cavity at ``omega``: Richardson
+    extrapolation of ``scattering.dos_change`` over the half steps h and
+    h/2, which cancels the O(h^2) term of the central difference."""
 
-    def delta(step):
-        pair = [cavity(w, L, r, t, mirrors) for w in (omega - step, omega + step)]
-        inc, worst = matched_phase_increment(pair[0][0], pair[1][0])
-        inc_ref, worst_ref = matched_phase_increment(pair[0][1], pair[1][1])
-        if max(worst, worst_ref) >= np.pi / 2:
-            raise BranchJump("dos step too large")
-        return (inc - inc_ref) / (2 * step) / np.pi
+    def sampler(w):
+        return cavity(w, L, r, t, mirrors)[0]
 
-    d1 = delta(h)
-    d2 = delta(h / 2)
+    d1 = dos_change(sampler, omega, h)
+    d2 = dos_change(sampler, omega, h / 2)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -105,10 +107,10 @@ def band_energies(L, r, t, band, panels=None, order=16):
     - ``dos_route``: int (hbar w / 2) deta dw
     - ``rows``: per-node (omega, dphi, deta)
 
-    dphi is the branch-continuous phase shift of the cavity relative to
-    the bare translation; deta its frequency derivative over pi. The band
-    is integrated by composite Gauss-Legendre panels sized to resolve the
-    cavity resonances (width ~ (1 - r^2) c / L).
+    dphi is the branch-continuous phase shift of the cavity; deta its
+    frequency derivative over pi. The band is integrated by composite
+    Gauss-Legendre panels sized to resolve the cavity resonances
+    (width ~ (1 - r^2) c / L).
     """
     a, b = band
     if not 0 < a < b:
@@ -126,14 +128,8 @@ def band_energies(L, r, t, band, panels=None, order=16):
     )
 
     mirrors = (lossy_mirror(r, t, "right"), lossy_mirror(r, t, "left"))
-    full_samples = []
-    sl_samples = []
-    for w in omegas:
-        full, sl = cavity(w, L, r, t, mirrors)
-        full_samples.append(full)
-        sl_samples.append(sl)
-    dphi = phase_profile(full_samples) - phase_profile(sl_samples)
-    # the relative phase carries a constant offset (branch anchor plus the
+    dphi = phase_profile([cavity(w, L, r, t, mirrors)[0] for w in omegas])
+    # the phase carries a constant offset (branch anchor plus the
     # frequency-independent mirror phases); both routes are invariant to it
 
     h = (b - a) * 1e-5

@@ -5,8 +5,15 @@ sampling and unitary dilation."""
 import numpy as np
 import pytest
 
-from casimir import blockmat
-from casimir.errors import NotContraction, NotUnitary, SingularMatrix
+from casimir import blockmat, scattering
+from casimir.errors import (
+    NotContraction,
+    NotUnitary,
+    ResonantSingular,
+    SingularBlock,
+    SingularMatrix,
+)
+from casimir.toy import lossy_mirror
 
 
 def det_by_elimination(m):
@@ -72,6 +79,19 @@ class TestLogdet:
         u = blockmat.random_unitary(5, seed=1)
         v = blockmat.random_unitary(5, seed=2)
         assert abs(blockmat.logdet(u @ v).real) < 1e-10
+
+
+class TestLogdetBranchAndSolve:
+    def test_minus_one_with_negative_zero_gives_plus_pi(self):
+        ld = blockmat.logdet(np.array([[complex(-1.0, -0.0)]]))
+        assert ld.real == 0
+        assert ld.imag == np.pi
+
+    @pytest.mark.parametrize("err", [SingularBlock, ResonantSingular])
+    def test_solve_singular_raises_given_error(self, err):
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(err):
+            blockmat.solve(a, np.eye(2), err=err)
 
 
 class TestSchurComplement:
@@ -198,3 +218,43 @@ class TestUnitaryDilation:
     def test_expansion_rejected(self):
         with pytest.raises(NotContraction):
             blockmat.unitary_dilation(np.eye(2) * 1.01)
+
+
+def _psd_sqrt(h):
+    """(H)^1/2 of a Hermitian PSD matrix by eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+class TestDilationAtUnitSingularValue:
+    """Square roots of 1 - K K^dag taken by eigendecomposition are off by
+    sqrt(eps) where a singular value of K is 1; the dilation must stay
+    unitary to rounding there."""
+
+    def test_lossless_mirror(self):
+        m = lossy_mirror(0.9, np.sqrt(0.19), "right")
+        assert m.unitarity_defect() <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_top_singular_value_one(self, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        w, s, vh = np.linalg.svd(z)
+        k = (w * (s / s[0])) @ vh
+        u = blockmat.unitary_dilation(k)
+        assert blockmat.unitarity_defect(u) <= 1e-14
+        assert np.array_equal(u[:4, :4], k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lossless_translation(self, seed):
+        t = blockmat.random_unitary(3, seed=seed)
+        assert scattering.translation_scatterer(t).unitarity_defect() <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_match_eigh_square_roots(self, seed):
+        k = blockmat.random_contraction(4, seed)
+        assert np.linalg.svd(k, compute_uv=False)[0] <= 0.95
+        u = blockmat.unitary_dilation(k)
+        eye = np.eye(4)
+        assert np.max(np.abs(u[:4, 4:] - _psd_sqrt(eye - k @ k.conj().T))) <= 1e-13
+        assert np.max(np.abs(u[4:, :4] - _psd_sqrt(eye - k.conj().T @ k))) <= 1e-13

@@ -5,8 +5,8 @@ import pytest
 
 from casimir.core import C_LIGHT
 from casimir.errors import NotContraction
-from casimir.scattering import dos_change
-from casimir.toy import band_energies, cavity, lossy_mirror
+from casimir.scattering import dos_change, translation_scatterer
+from casimir.toy import band_energies, cavity, lossy_mirror, phase_profile
 
 
 class TestLossyMirror:
@@ -49,6 +49,31 @@ class TestCavity:
         rho = 0.49
         assert on == pytest.approx(rho / (1 - rho) * 2 * L / (np.pi * C_LIGHT), rel=1e-4)
         assert off == pytest.approx(-rho / (1 + rho) * 2 * L / (np.pi * C_LIGHT), rel=1e-4)
+
+
+class TestLosslessTranslation:
+    """The toy takes the cavity phase without subtracting the bare
+    translation's: at real frequency det S_L = |t|^4 = 1, so that phase is
+    constant. A lossy gap would make it move and need the reference."""
+
+    L = 1e-6
+
+    def sampler(self, w):
+        return translation_scatterer(np.array([[np.exp(1j * w * self.L / C_LIGHT)]]))
+
+    def test_phase_is_constant(self):
+        omegas = np.linspace(0.5, 6.0, 400) * C_LIGHT / self.L
+        phases = phase_profile([self.sampler(w) for w in omegas])
+        assert np.ptp(phases) <= 1e-13
+
+    def test_dos_vanishes(self):
+        # at the step band_energies uses for the band [0.5, 6] c/L; what is
+        # left is eigenphase rounding (a few eps per increment) over 2h,
+        # below 1e-11 of the cavity's density-of-states scale L/c
+        h = 5.5e-5 * C_LIGHT / self.L
+        omegas = np.linspace(0.5, 6.0, 200) * C_LIGHT / self.L
+        worst = max(abs(dos_change(self.sampler, w, h)) for w in omegas)
+        assert worst <= 1e-11 * self.L / C_LIGHT
 
 
 class TestBandEnergies:
