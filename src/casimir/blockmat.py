@@ -20,29 +20,43 @@ UNITARITY_TOL = 1e-10
 
 
 def as_complex_matrix(m, name="matrix"):
-    """Validate and return a 2-d complex array with finite entries."""
+    """Validate and return a complex matrix, or a stack (..., rows, cols) of
+    them, with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must be a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim < 2 or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ValueError(f"{name} must be a 2-d array or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
+def worst_member(values):
+    """' (matrix i of the stack)' naming the member with the largest of
+    per-matrix ``values``; '' for the value of a single matrix."""
+    values = np.asarray(values)
+    if values.ndim == 0:
+        return ""
+    i = tuple(int(j) for j in np.unravel_index(values.argmax(), values.shape))
+    return f" (matrix {i[0] if len(i) == 1 else i} of the stack)"
+
+
 def unitarity_defect(m):
-    """Max-norm of M^dag M - 1."""
+    """Max-norm of M^dag M - 1; for a stack, an array with one per matrix."""
     m = as_complex_matrix(m)
-    n = m.shape[0]
-    if m.shape[1] != n:
+    n = m.shape[-1]
+    if m.shape[-2] != n:
         raise ValueError("unitarity defect requires a square matrix")
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(n))))
+    defect = np.abs(m.swapaxes(-1, -2).conj() @ m - np.eye(n)).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 def require_unitary(m, name="matrix"):
-    """Raise NotUnitary unless ||M^dag M - 1||_max <= UNITARITY_TOL."""
-    defect = unitarity_defect(m)
-    if defect > UNITARITY_TOL:
-        raise NotUnitary(f"{name}: unitarity defect {defect:.3e} > {UNITARITY_TOL:.1e}")
+    """Raise NotUnitary unless ||M^dag M - 1||_max <= UNITARITY_TOL for M,
+    or for every matrix of a stack (the message names the worst)."""
+    defect = np.asarray(unitarity_defect(m))
+    if defect.max() > UNITARITY_TOL:
+        raise NotUnitary(f"{name}{worst_member(defect)}: unitarity defect "
+                         f"{defect.max():.3e} > {UNITARITY_TOL:.1e}")
 
 
 def logdet(m):
@@ -62,7 +76,7 @@ def logdet(m):
         If the factorisation meets an exactly zero pivot.
     """
     m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("logdet requires a square matrix")
     sign, logabs = np.linalg.slogdet(m)
     if sign == 0:
@@ -73,19 +87,22 @@ def logdet(m):
 
 
 def solve(a, b, err=SingularBlock):
-    """Solve a x = b by LU (``np.linalg.solve``); raise ``err`` if a is
-    exactly singular."""
+    """Solve a x = b by LU (``np.linalg.solve``, which broadcasts over
+    stacks); raise ``err`` if a, or any matrix of its stack, is exactly
+    singular."""
     a = as_complex_matrix(a, "a")
     try:
         return np.linalg.solve(a, np.asarray(b, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise err("matrix is singular: zero pivot in its LU factorisation") from exc
+        # the same getrf factorisation names the member with the zero pivot
+        where = worst_member(np.linalg.slogdet(a)[0] == 0) if a.shape[-1] == a.shape[-2] else ""
+        raise err(f"matrix is singular: zero pivot in its LU factorisation{where}") from exc
 
 
 def inv(a, err=SingularBlock):
     """Inverse with an explicit singularity check."""
     a = as_complex_matrix(a, "a")
-    return solve(a, np.eye(a.shape[0], dtype=complex), err=err)
+    return solve(a, np.eye(a.shape[-1], dtype=complex), err=err)
 
 
 @dataclass(frozen=True)
@@ -233,25 +250,29 @@ def unitary_dilation(k):
     unitary to rounding even at singular values of 1, where square roots
     of 1 - K K^dag taken by eigendecomposition lose half the digits.
     Singular values within 1e-12 above 1 are taken as 1. The upper-left
-    block of the result equals K bitwise.
+    block of the result equals K bitwise. A stack of K gives the stack of
+    dilations, from one stacked SVD.
 
     Raises
     ------
     NotContraction
-        If the largest singular value of K exceeds 1 + 1e-12.
+        If the largest singular value of K (of any K of a stack) exceeds
+        1 + 1e-12.
     """
     k = as_complex_matrix(k, "K")
-    n = k.shape[0]
-    if k.shape[1] != n:
+    n = k.shape[-1]
+    if k.shape[-2] != n:
         raise ValueError("K must be square")
     w, s, vh = np.linalg.svd(k)
-    if s[0] > 1 + 1e-12:
-        raise NotContraction(f"largest singular value {s[0]:.12f} > 1 + 1e-12")
+    if s.max() > 1 + 1e-12:
+        where = worst_member(s[..., 0])
+        raise NotContraction(f"largest singular value {s.max():.12f} > 1 + 1e-12{where}")
     s = np.minimum(s, 1.0)
-    d = np.sqrt((1.0 - s) * (1.0 + s))
-    u = np.empty((2 * n, 2 * n), dtype=complex)
-    u[:n, :n] = k
-    u[:n, n:] = (w * d) @ w.conj().T
-    u[n:, :n] = (vh.conj().T * d) @ vh
-    u[n:, n:] = -k.conj().T
+    d = np.sqrt((1.0 - s) * (1.0 + s))[..., None, :]
+    u = np.empty(k.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    u[..., :n, :n] = k
+    w_h, v = w.swapaxes(-1, -2).conj(), vh.swapaxes(-1, -2).conj()
+    u[..., :n, n:] = (w * d) @ w_h
+    u[..., n:, :n] = (v * d) @ vh
+    u[..., n:, n:] = -k.swapaxes(-1, -2).conj()
     return u

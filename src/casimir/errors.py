@@ -6,7 +6,7 @@ class CasimirError(Exception):
 
 
 class SingularMatrix(CasimirError):
-    """A pivot fell below the singularity threshold during factorization."""
+    """The LU factorisation met an exactly zero pivot."""
 
 
 class SingularBlock(CasimirError):

@@ -13,6 +13,9 @@ result are ordered [left factor's externals..., right factor's externals...];
 for a translation scatterer the externals are ordered [far-side channels,
 environment ports]. This fixed ordering is what makes the determinant
 identities below exact including their signs.
+
+Every function also takes stacks (..., rows, cols), validated once with
+each check applied to every matrix; a single matrix is the batch-free case.
 """
 
 from __future__ import annotations
@@ -22,14 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockmat
-from .blockmat import as_complex_matrix, logdet
+from .blockmat import as_complex_matrix, logdet, worst_member
 from .errors import BranchJump, ChannelMismatch, ResonantSingular
 
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
     """Block form [[ii, ie], [ei, ee]] of a scatterer with n_int internal
-    and n_ext external channels."""
+    and n_ext external channels, or of a stack of such scatterers whose
+    four blocks share their leading batch axes."""
 
     ii: np.ndarray
     ie: np.ndarray
@@ -41,32 +45,28 @@ class ScatteringMatrix:
         ie = np.atleast_2d(np.asarray(self.ie, dtype=complex))
         ei = np.atleast_2d(np.asarray(self.ei, dtype=complex))
         ee = np.atleast_2d(np.asarray(self.ee, dtype=complex))
-        n_int = ii.shape[0]
-        n_ext = ee.shape[0]
-        if ii.shape != (n_int, n_int) or ee.shape != (n_ext, n_ext):
-            raise ChannelMismatch("ii and ee blocks must be square")
-        if ie.shape != (n_int, n_ext) or ei.shape != (n_ext, n_int):
+        batch, n_int, n_ext = ee.shape[:-2], ii.shape[-1], ee.shape[-1]
+        if ii.shape != batch + (n_int, n_int) or ee.shape[-2] != n_ext:
+            raise ChannelMismatch("ii and ee blocks must be square, with equal batch axes")
+        if ie.shape != batch + (n_int, n_ext) or ei.shape != batch + (n_ext, n_int):
             raise ChannelMismatch(
                 f"coupling blocks have shapes {ie.shape}, {ei.shape}; "
-                f"expected {(n_int, n_ext)}, {(n_ext, n_int)}"
+                f"expected {batch + (n_int, n_ext)}, {batch + (n_ext, n_int)}"
             )
         if n_int + n_ext < 1:
             raise ChannelMismatch("at least one channel required")
         for name, b in (("ii", ii), ("ie", ie), ("ei", ei), ("ee", ee)):
-            if b.size and not np.all(np.isfinite(b)):
+            if b.size and not np.isfinite(b).all():
                 raise ValueError(f"block {name} contains non-finite entries")
-        object.__setattr__(self, "ii", ii)
-        object.__setattr__(self, "ie", ie)
-        object.__setattr__(self, "ei", ei)
-        object.__setattr__(self, "ee", ee)
+            object.__setattr__(self, name, b)
 
     @property
     def n_int(self):
-        return self.ii.shape[0]
+        return self.ii.shape[-1]
 
     @property
     def n_ext(self):
-        return self.ee.shape[0]
+        return self.ee.shape[-1]
 
     def assemble(self):
         """Full (n_int + n_ext) square matrix, internal channels first."""
@@ -79,15 +79,15 @@ class ScatteringMatrix:
         Parameters
         ----------
         full : array_like
-            Square matrix over all channels.
+            Square matrix over all channels, or a stack of them.
         internal : int or sequence of int
             Either the number of leading channels that are internal, or an
             explicit list of channel indices to treat as internal (the
             matrix is permuted so those come first, in the given order).
         """
         full = as_complex_matrix(full)
-        n = full.shape[0]
-        if full.shape[1] != n:
+        n = full.shape[-1]
+        if full.shape[-2] != n:
             raise ChannelMismatch("full scattering matrix must be square")
         if np.isscalar(internal):
             k = int(internal)
@@ -95,11 +95,11 @@ class ScatteringMatrix:
             idx = list(internal)
             rest = [j for j in range(n) if j not in idx]
             order = idx + rest
-            full = full[np.ix_(order, order)]
+            full = full[(..., *np.ix_(order, order))]
             k = len(idx)
         if not 0 <= k <= n:
             raise ChannelMismatch("internal channel count out of range")
-        return cls(full[:k, :k], full[:k, k:], full[k:, :k], full[k:, k:])
+        return cls(full[..., :k, :k], full[..., :k, k:], full[..., k:, :k], full[..., k:, k:])
 
     def unitarity_defect(self):
         return blockmat.unitarity_defect(self.assemble())
@@ -132,13 +132,13 @@ def round_trip(s1_ii, s2_ii):
     Raises
     ------
     ResonantSingular
-        If 1 - S2ii S1ii is singular at the pivot threshold.
+        If 1 - S2ii S1ii (of any member of a stack) has a zero LU pivot.
     """
     a = as_complex_matrix(s1_ii, "S1ii")
     b = as_complex_matrix(s2_ii, "S2ii")
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+    if a.shape[-2:] != b.shape[-2:] or a.shape[-2] != a.shape[-1]:
         raise ChannelMismatch("internal blocks must be square with equal size")
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     d12 = blockmat.solve(eye - b @ a, eye, err=ResonantSingular)
     d21 = blockmat.solve(eye - a @ b, eye, err=ResonantSingular)
     return RoundTrip(D12=d12, D21=d21)
@@ -172,7 +172,8 @@ def star(s1: ScatteringMatrix, s2: ScatteringMatrix):
         S11 = S1ee + S1ei S2ii D21 S1ie      S12 = S1ei D12 S2ie
         S21 = S2ei D21 S1ie                  S22 = S2ee + S2ei S1ii D12 S2ie
 
-    where D12, D21 are the round-trip resolvents.
+    where D12, D21 are the round-trip resolvents. A stack and a single
+    scatterer (or two stacks) compose member by member.
     """
     if s1.n_int != s2.n_int:
         raise ChannelMismatch(
@@ -184,10 +185,8 @@ def star(s1: ScatteringMatrix, s2: ScatteringMatrix):
     s21 = s2.ei @ rt.D21 @ s1.ie
     s22 = s2.ee + s2.ei @ s1.ii @ rt.D12 @ s2.ie
     ee = np.block([[s11, s12], [s21, s22]])
-    n_ext = s1.n_ext + s2.n_ext
-    return ScatteringMatrix(
-        np.zeros((0, 0)), np.zeros((0, n_ext)), np.zeros((n_ext, 0)), ee
-    )
+    none = np.zeros(ee.shape[:-2] + (0, ee.shape[-1]))
+    return ScatteringMatrix(none[..., :0], none, none.swapaxes(-1, -2), ee)
 
 
 def promote_internal(s: ScatteringMatrix, k):
@@ -234,20 +233,18 @@ def translation_scatterer(t):
     The returned matrix has n_int = n channels facing the *next* scatterer
     and n_ext = 3n channels ordered [far-side channels (n), environment
     ports (2n)]. For unit-modulus (lossless) t the environment coupling
-    blocks vanish.
+    blocks vanish. A stack of t gives the stack of scatterers.
     """
     t = as_complex_matrix(t, "t")
-    n = t.shape[0]
-    if t.shape[1] != n:
+    n = t.shape[-1]
+    if t.shape[-2] != n:
         raise ChannelMismatch("transmission matrix must be square")
-    k = np.zeros((2 * n, 2 * n), dtype=complex)
-    k[:n, n:] = t
-    k[n:, :n] = t
-    u = blockmat.unitary_dilation(k)
+    k = np.zeros(t.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    k[..., :n, n:] = t
+    k[..., n:, :n] = t
     # dilation channel order: [side1 (n), side2 (n), env (2n)];
     # internal = side2 channels, externals = [side1, env]
-    side2 = list(range(n, 2 * n))
-    return ScatteringMatrix.from_full(u, side2)
+    return ScatteringMatrix.from_full(blockmat.unitary_dilation(k), list(range(n, 2 * n)))
 
 
 def det_composition_residual(s1: ScatteringMatrix, s2: ScatteringMatrix):
@@ -342,40 +339,47 @@ def chain3_factorization_residual(
     return float(max(res_mid, res_full))
 
 
-def phase_shift(s: ScatteringMatrix):
+def _batch_free(x):
+    """A float for a single matrix's value, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def eigenphases(s):
+    """Sorted principal eigenphases (..., n) of a unitary matrix or stack,
+    from one stacked ``eigvals``; NotUnitary unless each matrix is unitary."""
+    full = s.assemble() if isinstance(s, ScatteringMatrix) else as_complex_matrix(s)
+    blockmat.require_unitary(full, name="S")
+    return np.sort(np.angle(np.linalg.eigvals(full)), axis=-1)
+
+
+def phase_shift(s):
     """Total scattering phase shift (1/2i) log det S.
 
     Computed as half the sum of the principal arguments of the eigenvalues
-    of the assembled matrix, hence real and defined modulo pi.
+    of the assembled matrix, hence real and defined modulo pi; one per
+    matrix of a stack.
     """
-    full = s.assemble() if isinstance(s, ScatteringMatrix) else as_complex_matrix(s)
-    blockmat.require_unitary(full, name="S")
-    args = np.angle(np.linalg.eigvals(full))
-    return float(0.5 * np.sum(args))
+    return _batch_free(0.5 * np.sum(eigenphases(s), axis=-1))
 
 
-def matched_phase_increment(s_a, s_b):
+def matched_phase_increment(phases_a, phases_b):
     """Continuity-preserving increment of the phase shift between two
-    nearby unitary matrices.
+    nearby unitary matrices, from their sorted eigenphases (``eigenphases``).
 
-    Eigenphases of both matrices are sorted on the circle and matched over
-    all cyclic alignments (allowing a +-2 pi wrap) by minimizing the largest
-    single-phase jump. Returns (delta_phase_shift, max_single_jump).
+    The eigenphases of b are matched to those of a over all cyclic
+    alignments (allowing a +-2 pi wrap) by minimizing the largest single-phase
+    jump; stacks match member by member. Returns (delta_phase_shift, max_single_jump).
     """
-    a = s_a.assemble() if isinstance(s_a, ScatteringMatrix) else np.asarray(s_a)
-    b = s_b.assemble() if isinstance(s_b, ScatteringMatrix) else np.asarray(s_b)
-    pa = np.sort(np.angle(np.linalg.eigvals(a)))
-    pb = np.sort(np.angle(np.linalg.eigvals(b)))
-    n = len(pa)
-    ext = np.concatenate([pb - 2 * np.pi, pb, pb + 2 * np.pi])
-    best = None
-    for k in range(2 * n + 1):
-        window = ext[k : k + n]
-        diffs = window - pa
-        worst = np.max(np.abs(diffs))
-        if best is None or worst < best[1]:
-            best = (0.5 * float(np.sum(diffs)), float(worst))
-    return best
+    pa, pb = np.asarray(phases_a), np.asarray(phases_b)
+    n = pa.shape[-1]
+    ext = np.concatenate([pb - 2 * np.pi, pb, pb + 2 * np.pi], axis=-1)
+    # all 2n + 1 windows of n consecutive phases: (..., 2n + 1, n)
+    diffs = ext[..., np.arange(2 * n + 1)[:, None] + np.arange(n)] - pa[..., None, :]
+    worst = np.max(np.abs(diffs), axis=-1)
+    best = np.argmin(worst, axis=-1)[..., None]
+    delta = 0.5 * np.take_along_axis(np.sum(diffs, axis=-1), best, axis=-1)[..., 0]
+    jump = np.take_along_axis(worst, best, axis=-1)[..., 0]
+    return _batch_free(delta), _batch_free(jump)
 
 
 def dos_change(sampler, omega, h):
@@ -387,8 +391,9 @@ def dos_change(sampler, omega, h):
     Parameters
     ----------
     sampler : callable
-        omega -> unitary ScatteringMatrix (or plain unitary matrix).
-    omega, h : float
+        omega -> unitary ScatteringMatrix (or plain unitary matrix), a stack
+        for an array of frequencies.
+    omega, h : float (omega also an array)
         Evaluation frequency and half step, rad/s.
 
     Raises
@@ -397,14 +402,12 @@ def dos_change(sampler, omega, h):
         If an eigenphase moves by pi/2 or more between the two samples
         (halve h and retry).
     """
-    s_minus = sampler(omega - h)
-    s_plus = sampler(omega + h)
-    for s in (s_minus, s_plus):
-        full = s.assemble() if isinstance(s, ScatteringMatrix) else s
-        blockmat.require_unitary(full, name="sampled S")
-    delta, worst = matched_phase_increment(s_minus, s_plus)
-    if worst >= np.pi / 2:
+    delta, worst = matched_phase_increment(
+        eigenphases(sampler(omega - h)), eigenphases(sampler(omega + h))
+    )
+    if np.max(worst) >= np.pi / 2:
         raise BranchJump(
-            f"eigenphase moved by {worst:.3f} rad over 2h; reduce the step"
+            f"eigenphase moved by {np.max(worst):.3f} rad over 2h"
+            f"{worst_member(worst)}; reduce the step"
         )
-    return float(delta / (2 * h) / np.pi)
+    return _batch_free(delta / (2 * h) / np.pi)

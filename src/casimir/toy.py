@@ -26,8 +26,8 @@ from .errors import BranchJump, NotContraction
 from .scattering import (
     ScatteringMatrix,
     dos_change,
+    eigenphases,
     matched_phase_increment,
-    phase_shift,
     promote_internal,
     star,
     translation_scatterer,
@@ -54,7 +54,8 @@ def lossy_mirror(r, t, facing):
 
 def cavity(omega, L, r, t, mirrors=None):
     """Assembled unitary scattering matrix of the lossy cavity at a real
-    frequency, plus the bare translation between the mirrors.
+    frequency, plus the bare translation between the mirrors; for an array
+    of frequencies, the stacks of both.
 
     ``mirrors`` allows reusing the (frequency-independent) mirror pair
     across calls.
@@ -62,33 +63,32 @@ def cavity(omega, L, r, t, mirrors=None):
     if mirrors is None:
         mirrors = (lossy_mirror(r, t, "right"), lossy_mirror(r, t, "left"))
     m1, m2 = mirrors
-    sl = translation_scatterer(np.array([[np.exp(1j * omega * L / C_LIGHT)]]))
-    mid = promote_internal(star(sl, m2), 1)
-    full = star(m1, mid)
-    return full, sl
+    sl = translation_scatterer(np.exp(1j * np.asarray(omega) * L / C_LIGHT)[..., None, None])
+    return star(m1, promote_internal(star(sl, m2), 1)), sl
 
 
 def phase_profile(samples):
-    """Branch-continuous phase shifts for a sequence of unitary matrices.
+    """Branch-continuous phase shifts of a sequence of unitary matrices:
+    a stack (ScatteringMatrix or array) or a list of single matrices.
 
-    The first value is the principal phase shift (``phase_shift``);
-    subsequent values follow by nearest-branch matching of the eigenphases
-    between neighbours.
+    The first value is the principal phase shift; subsequent values follow
+    by nearest-branch matching of the eigenphases between neighbours. The
+    eigenphases of each sample are computed once.
     """
-    out = np.empty(len(samples))
-    out[0] = phase_shift(samples[0])
-    for i in range(1, len(samples)):
-        inc, worst = matched_phase_increment(samples[i - 1], samples[i])
-        if worst >= np.pi / 2:
-            raise BranchJump("grid too coarse for branch-continuous phases")
-        out[i] = out[i - 1] + inc
-    return out
+    if not isinstance(samples, (ScatteringMatrix, np.ndarray)):
+        samples = np.stack([s.assemble() if isinstance(s, ScatteringMatrix) else s
+                            for s in samples])
+    phases = eigenphases(samples)
+    inc, worst = matched_phase_increment(phases[:-1], phases[1:])
+    if np.any(worst >= np.pi / 2):
+        raise BranchJump("grid too coarse for branch-continuous phases")
+    return np.cumsum(np.concatenate([[0.5 * np.sum(phases[0])], inc]))
 
 
 def _dos_rel(omega, h, L, r, t, mirrors):
-    """Density-of-states change of the cavity at ``omega``: Richardson
-    extrapolation of ``scattering.dos_change`` over the half steps h and
-    h/2, which cancels the O(h^2) term of the central difference."""
+    """Density-of-states change of the cavity at ``omega`` (or an array):
+    Richardson extrapolation of ``scattering.dos_change`` over the half
+    steps h and h/2, which cancels the O(h^2) term of the central difference."""
 
     def sampler(w):
         return cavity(w, L, r, t, mirrors)[0]
@@ -120,20 +120,17 @@ def band_energies(L, r, t, band, panels=None, order=16):
         panels = int(np.clip(np.ceil(3 * (b - a) / resonance_width), 8, 150))
     u, wq = gauss_legendre_01(order)
     edges = np.linspace(a, b, panels + 1)
-    omegas = np.concatenate(
-        [[a]] + [e0 + (e1 - e0) * u for e0, e1 in zip(edges[:-1], edges[1:])] + [[b]]
-    )
-    weights = np.concatenate(
-        [[0.0]] + [(e1 - e0) * wq for e0, e1 in zip(edges[:-1], edges[1:])] + [[0.0]]
-    )
+    width = np.diff(edges)[:, None]
+    omegas = np.concatenate([[a], (edges[:-1, None] + width * u).ravel(), [b]])
+    weights = np.concatenate([[0.0], (width * wq).ravel(), [0.0]])
 
     mirrors = (lossy_mirror(r, t, "right"), lossy_mirror(r, t, "left"))
-    dphi = phase_profile([cavity(w, L, r, t, mirrors)[0] for w in omegas])
+    dphi = phase_profile(cavity(omegas, L, r, t, mirrors)[0])
     # the phase carries a constant offset (branch anchor plus the
     # frequency-independent mirror phases); both routes are invariant to it
 
     h = (b - a) * 1e-5
-    deta = np.array([_dos_rel(w, h, L, r, t, mirrors) for w in omegas])
+    deta = _dos_rel(omegas, h, L, r, t, mirrors)
 
     integral_dphi = float(np.sum(weights * dphi))
     boundary = b * dphi[-1] - a * dphi[0]

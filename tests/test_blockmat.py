@@ -258,3 +258,92 @@ class TestDilationAtUnitSingularValue:
         eye = np.eye(4)
         assert np.max(np.abs(u[:4, 4:] - _psd_sqrt(eye - k @ k.conj().T))) <= 1e-13
         assert np.max(np.abs(u[4:, :4] - _psd_sqrt(eye - k.conj().T @ k))) <= 1e-13
+
+
+class TestStackedDilation:
+    """A stack of contractions is dilated by one stacked SVD; each member
+    equals its single dilation."""
+
+    def test_stack_matches_single_calls(self):
+        k = np.stack([blockmat.random_contraction(3, s) for s in range(6)]).reshape(2, 3, 3, 3)
+        u = blockmat.unitary_dilation(k)
+        assert u.shape == (2, 3, 6, 6)
+        for i in np.ndindex(2, 3):
+            assert np.max(np.abs(u[i] - blockmat.unitary_dilation(k[i]))) <= 1e-13
+        assert np.array_equal(u[..., :3, :3], k)
+        assert np.max(blockmat.unitarity_defect(u)) <= 1e-14
+
+    def test_one_expanding_member_is_named(self):
+        k = np.stack([blockmat.random_contraction(2, s) for s in range(5)])
+        k[3] *= 1.1 / np.linalg.svd(k[3], compute_uv=False)[0]
+        with pytest.raises(NotContraction, match=r"matrix 3 of the stack"):
+            blockmat.unitary_dilation(k)
+
+    def test_member_named_by_its_index_tuple(self):
+        k = np.zeros((2, 3, 2, 2))
+        k[1, 2] = 1.01 * np.eye(2)
+        with pytest.raises(NotContraction, match=r"matrix \(1, 2\) of the stack"):
+            blockmat.unitary_dilation(k)
+
+
+class TestStackedUnitarity:
+    def test_defect_per_member(self):
+        u = np.stack([blockmat.random_unitary(4, s) for s in range(3)])
+        defect = blockmat.unitarity_defect(u)
+        assert defect.shape == (3,)
+        for i in range(3):
+            assert defect[i] == blockmat.unitarity_defect(u[i])
+
+    def test_one_bad_member_raises_with_its_index(self):
+        u = np.stack([blockmat.random_unitary(4, s) for s in range(3)])
+        u[2] *= 1.001
+        with pytest.raises(NotUnitary, match=r"matrix 2 of the stack"):
+            blockmat.require_unitary(u)
+
+    def test_stacked_solve_raises_for_one_singular_member(self):
+        a = np.stack([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+        with pytest.raises(SingularBlock, match=r"matrix 1 of the stack"):
+            blockmat.solve(a, np.eye(2))
+
+
+class TestSeed309Fixture:
+    """`casimir verify --trials 500 --seed 309` fails unitary_block_offdiag
+    with 1.496e-10 against its bound of 1e-10, at trial 92 (n = 12,
+    cond(A) = 868). The failure stands: the float64 Haar fixture is unitary
+    to 9e-16 only, and at that condition number its exact sides
+    B D^-1 C and A - A^-dag already differ by 1.43e-10. So no float64
+    evaluation of this fixture can meet the bound, while the package's two
+    sides are each within 1e-11 of their exact values."""
+
+    @staticmethod
+    def fixture():
+        trials = 500
+        seeds = np.random.default_rng(309).integers(0, 2**31 - 1, size=trials * 8)
+        k = 92
+        n = 2 + int(seeds[k] % 15)
+        u = blockmat.random_unitary(n, int(seeds[k + 3 * trials]))
+        return blockmat.Block2x2.split(u, n // 2)
+
+    def test_sides_against_40_digit_reference(self):
+        mp = pytest.importorskip("mpmath")
+        m = self.fixture()
+        assert m.n_a == 6 and np.linalg.cond(m.A) == pytest.approx(868, rel=1e-3)
+        # the two sides as unitary_block_relations forms them
+        lhs = m.B @ blockmat.solve(m.D, m.C)
+        rhs = m.A - blockmat.inv(m.A).conj().T
+        with mp.workdps(40):
+            a, b, c, d = (mp.matrix(x.tolist()) for x in (m.A, m.B, m.C, m.D))
+            exact_lhs = b * (mp.inverse(d) * c)
+            exact_rhs = a - mp.inverse(a).transpose_conj()
+
+            def dist(x, y):
+                return max(float(abs(mp.mpc(complex(x[i, j])) - y[i, j]))
+                           for i in range(6) for j in range(6))
+
+            exact_gap = max(float(abs(exact_lhs[i, j] - exact_rhs[i, j]))
+                            for i in range(6) for j in range(6))
+            lhs_err, rhs_err = dist(lhs, exact_lhs), dist(rhs, exact_rhs)
+        assert 1.3e-10 < exact_gap < 1.6e-10
+        assert lhs_err < 1e-11 and rhs_err < 1e-11
+        residual = blockmat.unitary_block_relations(m)["offdiag_residual"]
+        assert abs(residual - exact_gap) <= lhs_err + rhs_err

@@ -6,7 +6,13 @@ import pytest
 
 from casimir import blockmat
 from casimir.blockmat import logdet, random_contraction, random_unitary
-from casimir.errors import BranchJump, ChannelMismatch, NotUnitary
+from casimir.errors import (
+    BranchJump,
+    ChannelMismatch,
+    NotContraction,
+    NotUnitary,
+    ResonantSingular,
+)
 from casimir.scattering import (
     ScatteringMatrix,
     alpha_phase,
@@ -14,6 +20,8 @@ from casimir.scattering import (
     chain3_factorization_residual,
     det_composition_residual,
     dos_change,
+    eigenphases,
+    matched_phase_increment,
     phase_shift,
     promote_internal,
     round_trip,
@@ -392,3 +400,147 @@ class TestDosChange:
 
         with pytest.raises(BranchJump):
             dos_change(sampler, omega=1.0, h=1.0)
+
+
+def haar_stack(n_int, n_ext, seeds):
+    return ScatteringMatrix.from_full(
+        np.stack([random_unitary(n_int + n_ext, s) for s in seeds]), n_int
+    )
+
+
+def member(s, i):
+    return ScatteringMatrix(s.ii[i], s.ie[i], s.ei[i], s.ee[i])
+
+
+def assert_close(a, b, tol=1e-13):
+    assert np.shape(a) == np.shape(b)
+    assert np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0) <= tol
+
+
+class TestStacks:
+    """Blocks with a leading batch axis: every stacked call equals a loop of
+    single calls, and one bad member fails the whole stack."""
+
+    def test_from_full_with_index_list(self):
+        u = np.stack([random_unitary(5, s) for s in range(4)])
+        stacked = ScatteringMatrix.from_full(u, [3, 0])
+        assert (stacked.n_int, stacked.n_ext) == (2, 3)
+        for i in range(4):
+            assert np.array_equal(
+                stacked.assemble()[i], ScatteringMatrix.from_full(u[i], [3, 0]).assemble()
+            )
+
+    def test_star_of_stacks(self):
+        s1 = haar_stack(2, 3, range(5))
+        s2 = haar_stack(2, 2, range(100, 105))
+        out = star(s1, s2)
+        assert out.ee.shape == (5, 5, 5) and out.ii.shape == (5, 0, 0)
+        for i in range(5):
+            assert_close(out.ee[i], star(member(s1, i), member(s2, i)).ee)
+
+    def test_single_factor_with_a_stack(self):
+        # as for a mirror and the translations of a frequency band
+        mirror = haar_scatterer(1, 2, seed=7)
+        phases = np.exp(1j * np.linspace(0.1, 6.0, 9))
+        sl = translation_scatterer(phases[:, None, None])
+        left, right = star(sl, mirror), star(mirror, sl)
+        for i in range(9):
+            single = translation_scatterer(np.array([[phases[i]]]))
+            assert_close(left.ee[i], star(single, mirror).ee)
+            assert_close(right.ee[i], star(mirror, single).ee)
+
+    def test_round_trip(self):
+        a = np.stack([random_contraction(3, s) for s in range(4)])
+        b = random_contraction(3, 99)
+        rt = round_trip(a, b)
+        for i in range(4):
+            single = round_trip(a[i], b)
+            assert_close(rt.D12[i], single.D12)
+            assert_close(rt.D21[i], single.D21)
+
+    def test_promote_internal(self):
+        out = star(haar_stack(2, 3, range(3)), haar_stack(2, 2, range(50, 53)))
+        promoted = promote_internal(out, 2)
+        assert (promoted.n_int, promoted.n_ext) == (2, 3)
+        for i in range(3):
+            single = promote_internal(member(out, i), 2)
+            assert np.array_equal(promoted.assemble()[i], single.assemble())
+
+    def test_translation_scatterer(self):
+        t = np.stack([random_contraction(2, s) for s in range(6)]).reshape(3, 2, 2, 2)
+        sl = translation_scatterer(t)
+        assert sl.ee.shape == (3, 2, 6, 6)
+        for i in np.ndindex(3, 2):
+            assert_close(sl.assemble()[i], translation_scatterer(t[i]).assemble())
+
+    def test_phase_shift_and_matched_increment(self):
+        u = np.stack([random_unitary(4, s) for s in range(6)])
+        v = np.stack([x @ random_unitary(4, 1000 + s) for s, x in enumerate(u)])
+        assert_close(phase_shift(u), [phase_shift(x) for x in u])
+        delta, worst = matched_phase_increment(eigenphases(u), eigenphases(v))
+        for i in range(6):
+            single = matched_phase_increment(eigenphases(u[i]), eigenphases(v[i]))
+            assert isinstance(single[0], float) and isinstance(single[1], float)
+            assert_close(delta[i], single[0])
+            assert_close(worst[i], single[1])
+
+    def test_dos_change_on_frequency_array(self):
+        length, c = 2.0, 299792458.0
+        mirror = haar_scatterer(1, 2, seed=3)
+
+        def sampler(w):
+            phase = np.exp(1j * np.asarray(w) * length / c)
+            return star(mirror, translation_scatterer(phase[..., None, None]))
+
+        omegas = np.linspace(0.3, 4.0, 11) * c / length
+        h = 1e-5 * c / length
+        dos = dos_change(sampler, omegas, h)
+        assert dos.shape == (11,)
+        assert_close(dos, [dos_change(sampler, w, h) for w in omegas], tol=1e-13 * length / c)
+
+    def test_resonant_member_fails_the_stack(self):
+        mirrors = np.stack([np.diag([0.5 + 0j, 0.5]), np.diag([1.0 + 0j, 1.0])])
+        stack = ScatteringMatrix.from_full(mirrors, 1)
+        with pytest.raises(ResonantSingular, match=r"matrix 1 of the stack"):
+            star(stack, stack)
+
+    def test_non_contraction_member_is_named(self):
+        t = np.array([0.5, 0.9, 1.2, 0.1])[:, None, None]
+        with pytest.raises(NotContraction, match=r"matrix 2 of the stack"):
+            translation_scatterer(t)
+
+    def test_branch_jump_in_one_member(self):
+        # the phase turns fast only near w = 5, where the step is too coarse
+        def sampler(w):
+            w = np.asarray(w)
+            return np.exp(1j * (w + 40.0 * np.exp(-((w - 5.0) ** 2))))[..., None, None]
+
+        assert dos_change(sampler, np.array([1.0, 2.0]), 0.05).shape == (2,)
+        with pytest.raises(BranchJump, match=r"matrix 2 of the stack"):
+            dos_change(sampler, np.array([1.0, 2.0, 4.6, 8.0]), 0.05)
+
+    def test_unequal_batch_shapes_rejected(self):
+        s = haar_stack(1, 1, range(3))
+        with pytest.raises(ChannelMismatch):
+            ScatteringMatrix(s.ii, s.ie[:2], s.ei, s.ee)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    n_int=st.integers(1, 3),
+    n_ext1=st.integers(1, 3),
+    n_ext2=st.integers(1, 3),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2**20),
+)
+def test_star_of_haar_stacks_is_stacked_single_stars(n_int, n_ext1, n_ext2, depth, seed):
+    s1 = haar_stack(n_int, n_ext1, range(seed, seed + depth))
+    s2 = haar_stack(n_int, n_ext2, range(seed + depth, seed + 2 * depth))
+    out = star(s1, s2)
+    for i in range(depth):
+        assert_close(out.ee[i], star(member(s1, i), member(s2, i)).ee)
+    out.require_unitary()

@@ -51,6 +51,45 @@ class TestCavity:
         assert off == pytest.approx(-rho / (1 + rho) * 2 * L / (np.pi * C_LIGHT), rel=1e-4)
 
 
+class TestStackedCavity:
+    def test_stack_matches_single_calls(self):
+        L = 1e-6
+        mirrors = (lossy_mirror(0.9, 0.3, "right"), lossy_mirror(0.9, 0.3, "left"))
+        omegas = np.linspace(0.5, 6.0, 7) * C_LIGHT / L
+        full, sl = cavity(omegas, L, 0.9, 0.3, mirrors)
+        assert full.ee.shape == (7, 8, 8) and sl.n_int == 1
+        for i, w in enumerate(omegas):
+            f1, s1 = cavity(w, L, 0.9, 0.3, mirrors)
+            assert np.max(np.abs(full.ee[i] - f1.ee)) <= 1e-13
+            assert np.max(np.abs(sl.assemble()[i] - s1.assemble())) <= 1e-13
+
+    def test_phase_profile_of_a_stack_equals_that_of_a_list(self):
+        L = 1e-6
+        omegas = np.linspace(0.5, 2.0, 50) * C_LIGHT / L
+        full, _ = cavity(omegas, L, 0.9, 0.3)
+        singles = [cavity(w, L, 0.9, 0.3)[0] for w in omegas]
+        assert np.max(np.abs(phase_profile(full) - phase_profile(singles))) <= 1e-13
+
+    def test_each_cavity_gets_one_eigendecomposition(self, monkeypatch):
+        # one phase profile and four shifted stacks for the density of
+        # states: five matrices per node, each decomposed once
+        seen = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            seen.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        L = 1e-6
+        s = C_LIGHT / L
+        res = band_energies(L, 0.9, 0.3, (0.5 * s, 3 * s), panels=10, order=8)
+        nodes = len(res["rows"])
+        assert nodes == 82
+        assert sum(seen) == 5 * nodes
+        assert len(seen) == 5
+
+
 class TestLosslessTranslation:
     """The toy takes the cavity phase without subtracting the bare
     translation's: at real frequency det S_L = |t|^4 = 1, so that phase is
