@@ -8,7 +8,9 @@ channel and the energy is a double integral over frequency and q.
 
 Two evaluation paths are provided. The production path integrates along
 the imaginary frequency axis, where the integrand is real, negative and
-smooth. The real-frequency path evaluates the same per-channel expression
+smooth: each order N is an N x N Gauss-Legendre rule on the maps
+xi = (c/L) t^2 and, at each xi, kappa = kappa_0(xi) + s/L, with t and s
+in (0, inf) (see ``energy_per_area``). The real-frequency path evaluates
 Im log(1 - r1 r2 e^{2 i kz L}) literally; it iterates with q outermost
 because at fixed q the frequency integrand decays like 1/w^4, while at
 fixed frequency the q-integral picks up a non-decaying grazing-incidence
@@ -21,15 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    C_LIGHT,
-    HBAR,
-    QuadratureSpec,
-    energy,
-    gauss_legendre_01,
-    integrate_semiinfinite,
-    refine_order,
-)
+from .core import C_LIGHT, HBAR, QuadratureSpec, energy, gauss_legendre_01, refine_order
 from .errors import DomainError, NotConverged, OscillatoryFailure
 from .materials import (
     MaterialModel,
@@ -160,10 +154,11 @@ def _warnings(sys: PlaneSystem):
 
 def lifshitz_integrand(sys: PlaneSystem, xi, q):
     """Sum over polarizations of log(1 - r1 r2 e^{-2 kappa_m L}) on the
-    (xi, q) grid; broadcast as (n_xi, n_q). Non-positive for identical
+    (xi, q) grid, shape (n_xi, n_q). ``q`` is one row shared by every xi or
+    an (n_xi, n_q) array with a row per xi. Non-positive for identical
     passive mirrors."""
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
-    q_sq = np.atleast_1d(np.asarray(q, dtype=float))[None, :] ** 2
+    q_sq = np.atleast_2d(np.asarray(q, dtype=float)) ** 2
     em, km = _eps_k(sys.medium, xi_col, q_sq, real=False)
     r1te, r1tm = _fresnel(sys.mat1, em, km, xi_col, q_sq, real=False)
     r2te, r2tm = _fresnel(sys.mat2, em, km, xi_col, q_sq, real=False)
@@ -177,23 +172,26 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
     E/A = hbar/(4 pi^2) int_0^inf dxi int_0^inf q dq
           sum_pol log(1 - r1 r2 e^{-2 kappa_m L})
 
-    ``integrate_semiinfinite`` maps xi = (c/L) u/(1-u); at each xi order
-    the q integral uses q = (1/L) u/(1-u) at the same Gauss-Legendre order,
-    so the two orders double together until the relative change is below
-    ``quad.tol``. The integrand reads that order as ``len(xi)``: it relies
-    on ``integrate_semiinfinite`` taking its nodes from ``gauss_legendre_01``
-    at that order. Returns and raises as ``core.energy``; value in J/m^2.
+    Each order N of ``refine_order`` is an N x N rule, with u and v on its
+    Gauss-Legendre nodes: xi = (c/L) t^2, t = u/(1-u), which makes the
+    sqrt(xi) behaviour of Drude plates at xi -> 0 smooth in t; at each xi,
+    kappa = kappa_0 + s/L with kappa_0 = sqrt(eps_m(i xi)) xi/c and
+    s = v/(1-v). There q dq = kappa dkappa, and q^2 = (s/L)(2 kappa_0 + s/L)
+    has no cancellation. Returns and raises as ``core.energy``; value in
+    J/m^2.
     """
-    s_q = 1.0 / sys.L
 
-    def f(xi):
-        u, wu = gauss_legendre_01(len(xi))
-        q = s_q * u / (1.0 - u)
-        jq = s_q * wu / (1.0 - u) ** 2
-        return HBAR / (4 * np.pi**2) * (lifshitz_integrand(sys, xi, q) @ (jq * q))
+    def evaluate(u, w):
+        t, jt = u / (1.0 - u), w / (1.0 - u) ** 2
+        xi = C_LIGHT / sys.L * t**2
+        k0 = (np.sqrt(eps_imag_axis(sys.medium, xi)) * xi / C_LIGHT)[:, None]
+        s = t / sys.L
+        grid = lifshitz_integrand(sys, xi, np.sqrt(s * (2.0 * k0 + s))) * (k0 + s)
+        # dxi = (c/L) 2 t dt and dkappa = ds/L
+        return HBAR * C_LIGHT / (2 * np.pi**2 * sys.L**2) * float((t * jt) @ grid @ jt)
 
     return energy(
-        lambda lmax, events: integrate_semiinfinite(f, quad, scale=C_LIGHT / sys.L),
+        lambda lmax, events: refine_order(evaluate, quad, "plane energy quadrature"),
         warnings=_warnings(sys), geometry="plane", axis="imaginary",
     )
 

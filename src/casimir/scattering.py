@@ -108,14 +108,6 @@ class ScatteringMatrix:
         blockmat.require_unitary(self.assemble(), name=name)
 
 
-def transparent(n):
-    """Pass-through scatterer with n internal and n external channels: no
-    backscattering, unit transmission."""
-    z = np.zeros((n, n))
-    eye = np.eye(n)
-    return ScatteringMatrix(z, eye, eye, z)
-
-
 @dataclass(frozen=True)
 class RoundTrip:
     """Resolvents of the two round-trip operators between two scatterers."""

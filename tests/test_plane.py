@@ -118,6 +118,14 @@ class TestEnergyPerArea:
         res = energy_per_area(sys_)
         assert res.value == pytest.approx(ideal_energy_per_area(L), rel=1e-6)
 
+    def test_drude_gold_at_1um_against_mpmath(self):
+        # -3.91402986003856e-10 J/m^2: the same double integral for these gold
+        # plates at exactly 1 um, evaluated with mpmath at 20 significant
+        # digits (the reference value of ROADMAP item 12)
+        res = energy_per_area(PlaneSystem(GOLD, GOLD, VACUUM, 1e-6))
+        assert abs(res.value - (-3.91402986003856e-10)) <= res.error_estimate
+        assert res.metadata["orders"][-1] <= 256
+
     def test_ideal_value_magnitude_at_1um(self):
         assert ideal_energy_per_area(1e-6) == pytest.approx(-4.3337525748e-10, rel=1e-9)
 
