@@ -46,7 +46,6 @@ from .scattering import (
     RoundTrip,
     ScatteringMatrix,
     alpha_phase,
-    chain,
     chain3_factorization_residual,
     det_composition_residual,
     dos_change,

@@ -60,30 +60,35 @@ def require_unitary(m, name="matrix"):
 
 
 def logdet(m):
-    """Log-determinant of a square complex matrix.
-
-    One LU factorisation (LAPACK getrf through ``np.linalg.slogdet``, the
-    routine behind every log det of the package).
+    """Log-determinant of a square complex matrix, or one per matrix of a
+    stack, from one LU factorisation each (LAPACK getrf through
+    ``np.linalg.slogdet``, the routine behind every log det of the package).
 
     Returns
     -------
-    complex
+    complex, or a complex array for a stack
         Real part log|det M|, imaginary part arg(det M) in (-pi, pi].
 
     Raises
     ------
     SingularMatrix
-        If the factorisation meets an exactly zero pivot.
+        If a factorisation meets an exactly zero pivot (naming the member).
     """
     m = as_complex_matrix(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError("logdet requires a square matrix")
     sign, logabs = np.linalg.slogdet(m)
-    if sign == 0:
-        raise SingularMatrix("matrix is singular: zero pivot in its LU factorisation")
-    im = float(np.angle(sign))
+    if (sign == 0).any():
+        raise SingularMatrix("matrix is singular: zero pivot in its LU factorisation"
+                             f"{worst_member(sign == 0)}")
+    im = np.angle(sign)
     # principal branch (-pi, pi]: a sign of -1 - 0j has angle -pi
-    return complex(float(logabs), np.pi if im == -np.pi else im)
+    return batch_free(logabs + 1j * np.where(im == -np.pi, np.pi, im))
+
+
+def batch_free(x):
+    """A Python scalar for a single matrix's value, the array for a stack's."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def solve(a, b, err=SingularBlock):
@@ -107,7 +112,8 @@ def inv(a, err=SingularBlock):
 
 @dataclass(frozen=True)
 class Block2x2:
-    """2x2 block matrix [[A, B], [C, D]] with square A and D."""
+    """2x2 block matrix [[A, B], [C, D]] with square A and D, or a stack of
+    them whose four blocks share their leading batch axes."""
 
     A: np.ndarray
     B: np.ndarray
@@ -115,37 +121,32 @@ class Block2x2:
     D: np.ndarray
 
     def __post_init__(self):
-        a = as_complex_matrix(self.A, "A")
-        b = as_complex_matrix(self.B, "B")
-        c = as_complex_matrix(self.C, "C")
-        d = as_complex_matrix(self.D, "D")
-        na, nd = a.shape[0], d.shape[0]
-        if a.shape != (na, na) or d.shape != (nd, nd):
-            raise ValueError("blocks A and D must be square")
-        if b.shape != (na, nd) or c.shape != (nd, na):
+        for name in "ABCD":
+            object.__setattr__(self, name, as_complex_matrix(getattr(self, name), name))
+        a, b, c, d = self.A.shape, self.B.shape, self.C.shape, self.D.shape
+        batch, na, nd = a[:-2], a[-1], d[-1]
+        if a != batch + (na, na) or d != batch + (nd, nd):
+            raise ValueError("blocks A and D must be square, with equal batch axes")
+        if b != batch + (na, nd) or c != batch + (nd, na):
             raise ValueError("blocks B and C not conformable with A and D")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "D", d)
 
     @property
     def n_a(self):
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def n_d(self):
-        return self.D.shape[0]
+        return self.D.shape[-1]
 
     def assemble(self):
-        """Full (n_a + n_d) square matrix."""
+        """Full (n_a + n_d) square matrix (stack)."""
         return np.block([[self.A, self.B], [self.C, self.D]])
 
     @classmethod
     def split(cls, m, n_a):
-        """Partition a square matrix with an n_a x n_a upper-left block."""
+        """Partition a square matrix (stack) with an n_a x n_a upper-left block."""
         m = as_complex_matrix(m)
-        return cls(m[:n_a, :n_a], m[:n_a, n_a:], m[n_a:, :n_a], m[n_a:, n_a:])
+        return cls(m[..., :n_a, :n_a], m[..., :n_a, n_a:], m[..., n_a:, :n_a], m[..., n_a:, n_a:])
 
 
 def schur_complement(m: Block2x2, which="A"):
@@ -171,22 +172,19 @@ def matrix_det_lemma_residual(a, b, d, c):
     |lhs - rhs| / |lhs| is formed as |1 - exp(rhs_log - lhs_log)| and stays
     meaningful even when the determinants themselves are huge.
     """
-    a = as_complex_matrix(a, "A")
-    b = as_complex_matrix(b, "B")
-    d = as_complex_matrix(d, "D")
-    c = as_complex_matrix(c, "C")
+    a, b, d, c = (as_complex_matrix(x, name) for x, name in zip((a, b, d, c), "ABDC"))
     try:
         lhs = logdet(a + b @ d @ c)
         rhs = logdet(a) + logdet(d) + logdet(inv(d) + c @ solve(a, b))
     except SingularMatrix as exc:
         raise SingularBlock(str(exc)) from exc
-    return float(abs(1 - np.exp(rhs - lhs)))
+    return batch_free(np.abs(1 - np.exp(rhs - lhs)))
 
 
 def unitary_block_relations(m: Block2x2):
     """Check the two block identities satisfied by a unitary [[A,B],[C,D]].
 
-    Returns a dict with
+    Returns a dict (of per-member arrays for a stack) with
 
     - ``det_ratio_residual``: |det M - det(D)/det(A^dag)|
     - ``offdiag_residual``: ||B D^-1 C - (A - (A^dag)^-1)||_max
@@ -194,7 +192,7 @@ def unitary_block_relations(m: Block2x2):
     Raises
     ------
     NotUnitary
-        If the assembled matrix is not unitary within ``UNITARITY_TOL``.
+        If the assembled matrix (any member) is not unitary.
     SingularBlock
         If A or D is singular.
     """
@@ -204,39 +202,49 @@ def unitary_block_relations(m: Block2x2):
     ld_a = logdet(m.A)
     ld_d = logdet(m.D)
     # det(A^dag) = conj(det A)
-    det_ratio_residual = abs(np.exp(ld_m) - np.exp(ld_d - np.conj(ld_a)))
+    det_ratio_residual = np.abs(np.exp(ld_m) - np.exp(ld_d - np.conj(ld_a)))
     lhs = m.B @ solve(m.D, m.C)
-    rhs = m.A - inv(m.A).conj().T
-    offdiag_residual = float(np.max(np.abs(lhs - rhs)))
+    rhs = m.A - inv(m.A).swapaxes(-1, -2).conj()
     return {
-        "det_ratio_residual": float(det_ratio_residual),
-        "offdiag_residual": offdiag_residual,
+        "det_ratio_residual": batch_free(det_ratio_residual),
+        "offdiag_residual": batch_free(np.abs(lhs - rhs).max(axis=(-2, -1))),
     }
 
 
+def _gaussian(n, seed, scale=None):
+    """A complex standard-Gaussian n x n matrix from ``default_rng(seed)``
+    and, drawn after it from the same generator, one uniform(*scale) number
+    (None without ``scale``). A sequence of seeds gives the stack of matrices
+    and the array of numbers, one generator per seed."""
+    def draw(s):
+        rng = np.random.default_rng(s)
+        # real parts, then imaginary parts: the order of two (n, n) draws
+        return rng.standard_normal((2, n, n)), (rng.uniform(*scale) if scale else None)
+
+    x, u = draw(seed) if np.ndim(seed) == 0 else map(np.array, zip(*map(draw, seed)))
+    return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2), u
+
+
 def random_unitary(n, seed):
-    """Haar-distributed n x n unitary, deterministic per seed.
+    """Haar-distributed n x n unitary, deterministic per seed; for a
+    sequence of seeds, the stack from one stacked QR.
 
     QR of a complex standard-Gaussian matrix with the R diagonal phases
     divided out, which makes the distribution exactly Haar.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    q, r = np.linalg.qr(_gaussian(n, seed)[0])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_contraction(n, seed):
-    """Random strict contraction: Gaussian matrix rescaled to a norm in [0.2, 0.95)."""
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    smax = np.linalg.svd(z, compute_uv=False)[0]
-    scale = rng.uniform(0.2, 0.95)
-    return z * (scale / smax)
+    """Random strict contraction: Gaussian matrix rescaled to a norm in
+    [0.2, 0.95); for a sequence of seeds, the stack from one stacked SVD."""
+    z, scale = _gaussian(n, seed, (0.2, 0.95))
+    smax = np.linalg.svd(z, compute_uv=False)[..., 0]
+    return z * np.asarray(scale / smax)[..., None, None]
 
 
 def unitary_dilation(k):

@@ -1,5 +1,5 @@
-"""Command-line entry point: identity verification suites, energy sweeps
-and the dissipative-cavity toy.
+"""Command-line entry point: the identity table of ``casimir.identities``,
+energy sweeps and the dissipative-cavity toy.
 
     casimir verify|plane|sphere|toy-dos [--config FILE] [--seed N]
             [--out PATH] [--format csv|json] [--trials N] [--lmax N]
@@ -18,12 +18,11 @@ import sys
 
 import numpy as np
 
-from . import blockmat, scattering, toy
+from . import identities, toy
 from .core import C_LIGHT, HBAR, QuadratureSpec
-from .errors import CasimirError, NotConverged, NotUnitary
+from .errors import CasimirError, NotConverged
 from .materials import material_from_dict
 from .plane import PlaneSystem, energy_per_area, ideal_energy_per_area
-from .scattering import ScatteringMatrix
 from .sphere import SphereSystem, sphere_energy
 
 FMT = "%.17g"
@@ -91,142 +90,17 @@ def _emit(args, payload, columns, rows):
 # verify
 # ---------------------------------------------------------------------------
 
-def _haar_scatterer(n_int, n_ext, seed):
-    return ScatteringMatrix.from_full(blockmat.random_unitary(n_int + n_ext, seed), n_int)
-
-
-def _identity_suite(trials, seed, corrupt=False):
-    """Run every determinant/unitarity identity over random fixtures.
-
-    Returns a list of (name, max_residual, threshold) entries; raises
-    NotUnitary if a corrupted fixture slips in (negative control hook).
-    """
-    rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**31 - 1, size=trials * 8)
-    results = []
-
-    def record(name, residuals, threshold):
-        results.append((name, float(np.max(residuals)), threshold))
-
-    res = []
-    for k in range(trials):
-        u = blockmat.random_unitary(2 + int(seeds[k] % 7), int(seeds[k]))
-        res.append(blockmat.unitarity_defect(u))
-    record("haar_unitarity", res, 1e-12)
-
-    res = []
-    for k in range(trials):
-        n = 2 + int(seeds[k] % 15)
-        u = blockmat.random_unitary(n, int(seeds[k + trials]))
-        half = n // 2 or 1
-        m = blockmat.Block2x2.split(u, half)
-        ld = blockmat.logdet(u)
-        via_a = blockmat.logdet(m.A) + blockmat.logdet(blockmat.schur_complement(m, "A"))
-        via_d = blockmat.logdet(m.D) + blockmat.logdet(blockmat.schur_complement(m, "D"))
-        res.append(abs(1 - np.exp(via_a - ld)))
-        res.append(abs(1 - np.exp(via_d - ld)))
-    record("schur_det_split", res, 1e-10)
-
-    res = []
-    for k in range(trials):
-        n = 2 + int(seeds[k] % 15)
-        u = blockmat.Block2x2.split(blockmat.random_unitary(2 * n, int(seeds[k + 2 * trials])), n)
-        res.append(
-            blockmat.matrix_det_lemma_residual(
-                u.A, u.B, blockmat.random_unitary(n, int(seeds[k]) + 1), u.C
-            )
-        )
-    record("matrix_det_lemma", res, 1e-10)
-
-    res_det, res_off = [], []
-    for k in range(trials):
-        n = 2 + int(seeds[k] % 15)
-        u = blockmat.random_unitary(n, int(seeds[k + 3 * trials]))
-        if corrupt and k == trials // 2:
-            u = u * 1.001  # deliberately broken fixture (test hook)
-        rep = blockmat.unitary_block_relations(blockmat.Block2x2.split(u, n // 2 or 1))
-        res_det.append(rep["det_ratio_residual"])
-        res_off.append(rep["offdiag_residual"])
-    record("unitary_block_det", res_det, 1e-10)
-    record("unitary_block_offdiag", res_off, 1e-10)
-
-    res_uni, res_det15, res_mod = [], [], []
-    for k in range(trials):
-        n_int = 1 + int(seeds[k] % 4)
-        s1 = _haar_scatterer(n_int, 1 + int(seeds[k] % 4), int(seeds[k + 4 * trials]))
-        s2 = _haar_scatterer(n_int, 1 + int(seeds[k + trials] % 4), int(seeds[k + 5 * trials]))
-        out = scattering.star(s1, s2)
-        res_uni.append(out.unitarity_defect())
-        res_det15.append(scattering.det_composition_residual(s1, s2))
-        res_mod.append(abs(abs(np.exp(blockmat.logdet(out.ee))) - 1))
-    record("star_unitarity", res_uni, 1e-9)
-    record("det_composition", res_det15, 1e-9)
-    record("det_modulus", res_mod, 1e-10)
-
-    res = []
-    for k in range(trials):
-        n_int = 1 + k % 4
-        s1 = _haar_scatterer(n_int, 2, int(seeds[k + 6 * trials]))
-        s2 = _haar_scatterer(n_int, 2, int(seeds[k + 7 * trials]))
-        res.append(abs(scattering.alpha_phase(s1, s2) - (-1) ** n_int))
-    record("alpha_sign", res, 1e-10)
-
-    res_syl, res_series = [], []
-    for k in range(trials):
-        a = blockmat.random_contraction(4, int(seeds[k]))
-        b = blockmat.random_contraction(4, int(seeds[k + trials]))
-        rt = scattering.round_trip(a, b)
-        res_syl.append(abs(1 - np.exp(blockmat.logdet(rt.D12) - blockmat.logdet(rt.D21))))
-        series = scattering.round_trip_series(a, b, 80)
-        res_series.append(float(np.max(np.abs(series - rt.D12))))
-    record("sylvester", res_syl, 1e-10)
-    record("round_trip_series", res_series, 1e-8)
-
-    res = []
-    for k in range(trials):
-        n = 2
-        s1 = ScatteringMatrix.from_full(
-            blockmat.unitary_dilation(blockmat.random_contraction(2 * n, int(seeds[k]))), n
-        )
-        s2 = ScatteringMatrix.from_full(
-            blockmat.unitary_dilation(blockmat.random_contraction(2 * n, int(seeds[k + trials]))), n
-        )
-        sl = scattering.translation_scatterer(blockmat.random_contraction(n, int(seeds[k + 2 * trials])))
-        res.append(scattering.chain3_factorization_residual(s1, sl, s2))
-    record("chain3_factorization", res, 1e-9)
-
-    res_u, res_top = [], []
-    for k in range(trials):
-        kk = blockmat.random_contraction(3, int(seeds[k + 5 * trials]))
-        u = blockmat.unitary_dilation(kk)
-        res_u.append(blockmat.unitarity_defect(u))
-        res_top.append(float(np.max(np.abs(u[:3, :3] - kk))))
-    record("dilation_unitarity", res_u, 1e-10)
-    record("dilation_topleft", res_top, 0.0)
-
-    return results
-
-
 def cmd_verify(args, cfg):
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 50))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
-    try:
-        results = _identity_suite(trials, seed, corrupt=args.corrupt)
-    except NotUnitary as exc:
-        print(f"FAIL NotUnitary: {exc}", file=sys.stderr)
-        return 1
-    columns = ["identity", "max_residual", "threshold", "status"]
-    rows = []
-    ok = True
-    for name, residual, threshold in results:
-        passed = residual <= threshold
-        ok &= passed
-        rows.append([name, residual, threshold, "PASS" if passed else "FAIL"])
-        print(f"{name:24s} {residual:12.3e}  (< {threshold:.0e})  "
-              f"{'PASS' if passed else 'FAIL'}")
+    rows = [[name, residual, bound, "PASS" if residual <= bound else "FAIL"]
+            for name, residual, bound in identities.run(trials, seed)]
+    for name, residual, bound, status in rows:
+        print(f"{name:24s} {residual:12.3e}  (< {bound:.0e})  {status}")
     if args.out:
-        _emit(args, {"config_echo": cfg, "warnings": []}, columns, rows)
-    return 0 if ok else 1
+        _emit(args, {"config_echo": cfg, "warnings": []},
+              ["identity", "max_residual", "threshold", "status"], rows)
+    return 0 if all(row[-1] == "PASS" for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +208,8 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("verify", cmd_verify),
-        ("plane", cmd_plane),
-        ("sphere", cmd_sphere),
-        ("toy-dos", cmd_toy_dos),
-    ):
+    for name, fn in (("verify", cmd_verify), ("plane", cmd_plane),
+                     ("sphere", cmd_sphere), ("toy-dos", cmd_toy_dos)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
@@ -348,8 +218,6 @@ def build_parser():
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--lmax", type=int, default=None)
         p.add_argument("--quad-order", type=int, default=None)
-        if name == "verify":
-            p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
         p.set_defaults(func=fn)
     return parser
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blockmat
-from .blockmat import as_complex_matrix, logdet, worst_member
+from .blockmat import as_complex_matrix, batch_free, logdet, worst_member
 from .errors import BranchJump, ChannelMismatch, ResonantSingular
 
 
@@ -146,9 +146,8 @@ def round_trip_series(s1_ii, s2_ii, terms):
     a = as_complex_matrix(s1_ii, "S1ii")
     b = as_complex_matrix(s2_ii, "S2ii")
     m = b @ a
-    n = m.shape[0]
-    acc = np.eye(n, dtype=complex)
-    power = np.eye(n, dtype=complex)
+    power = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
+    acc = power.copy()
     for _ in range(int(terms)):
         power = power @ m
         acc += power
@@ -195,26 +194,6 @@ def promote_internal(s: ScatteringMatrix, k):
     return ScatteringMatrix.from_full(s.ee, k)
 
 
-def chain(scatterers):
-    """Left-to-right chain composition S1 * SL * ... * Sn.
-
-    Every interior scatterer must expose its right-facing channels as
-    internal and its left-facing channels as the first block of its
-    externals (translation scatterers are built this way). Returns a fully
-    external ScatteringMatrix.
-    """
-    if not scatterers:
-        raise ChannelMismatch("empty chain")
-    # fold right-to-left; after star(s, result) the leading externals are
-    # s's left-facing channels, which become internal for the next factor
-    result = scatterers[-1]
-    for i in range(len(scatterers) - 2, -1, -1):
-        result = star(scatterers[i], result)
-        if i > 0:
-            result = promote_internal(result, scatterers[i].n_int)
-    return result
-
-
 def translation_scatterer(t):
     """Unitary scatterer for one-way propagation with transmission matrix t.
 
@@ -246,7 +225,7 @@ def det_composition_residual(s1: ScatteringMatrix, s2: ScatteringMatrix):
 
     Both sides are unit-modulus for unitary inputs; the residual is the
     distance |lhs - rhs| between them evaluated through log-determinants
-    (phases effectively compared modulo 2 pi).
+    (phases effectively compared modulo 2 pi), one per member of a stack.
     """
     s1.require_unitary(name="S1")
     s2.require_unitary(name="S2")
@@ -258,7 +237,7 @@ def det_composition_residual(s1: ScatteringMatrix, s2: ScatteringMatrix):
     phase = -2j * ld_d21inv.imag
     ld_rhs = logdet(s1.assemble()) + logdet(s2.assemble()) + phase
     sign = -1.0 if n % 2 else 1.0
-    return float(abs(np.exp(ld_lhs) - sign * np.exp(ld_rhs)))
+    return batch_free(np.abs(np.exp(ld_lhs) - sign * np.exp(ld_rhs)))
 
 
 def alpha_phase(s1: ScatteringMatrix, s2: ScatteringMatrix):
@@ -270,8 +249,8 @@ def alpha_phase(s1: ScatteringMatrix, s2: ScatteringMatrix):
     """
     s1.require_unitary(name="S1")
     s2.require_unitary(name="S2")
-    x = s2.ii.conj().T - s1.ii
-    return complex(np.exp(logdet(x) - logdet(-x)))
+    x = s2.ii.swapaxes(-1, -2).conj() - s1.ii
+    return batch_free(np.exp(logdet(x) - logdet(-x)))
 
 
 def chain3_factorization_residual(
@@ -295,7 +274,7 @@ def chain3_factorization_residual(
 
     Returns
     -------
-    float
+    float, or an array with one per member of a stack
         Max of the two identity residuals, |lhs - rhs| on the unit circle.
     """
     s1.require_unitary(name="S1")
@@ -306,34 +285,20 @@ def chain3_factorization_residual(
         raise ChannelMismatch("chain factors must share the internal channel count")
     if np.max(np.abs(sl.ii)) > 1e-12:
         raise ChannelMismatch("translation scatterer must have SLii = 0")
-    t12 = sl.ie[:, :n]  # transmission from the side-1 externals to side 2
-    t21 = sl.ei[:n, :]
+    t12 = sl.ie[..., :n]  # transmission from the side-1 externals to side 2
+    t21 = sl.ei[..., :n, :]
 
-    # intermediate: det(SL * S2) = (-1)^n det(SL) det(S2)
-    mid = star(sl, s2)
-    sign = -1.0 if n % 2 else 1.0
-    res_mid = abs(
-        np.exp(logdet(mid.ee))
-        - sign * np.exp(logdet(sl.assemble()) + logdet(s2.assemble()))
-    )
+    # intermediate: det(SL * S2) = (-1)^n det(SL) det(S2), the composition
+    # theorem with D21 = 1 because SLii = 0
+    res_mid = det_composition_residual(sl, s2)
 
     # full chain determinant versus the factorized form
-    full = star(s1, promote_internal(mid, n))
-    ld_lhs = logdet(full.ee)
+    ld_lhs = logdet(star(s1, promote_internal(star(sl, s2), n)).ee)
     ld_d21inv = logdet(np.eye(n) - s1.ii @ t12 @ s2.ii @ t21)
-    ld_rhs = (
-        logdet(s1.assemble())
-        + logdet(s2.assemble())
-        + logdet(sl.assemble())
-        - 2j * ld_d21inv.imag
-    )
-    res_full = abs(np.exp(ld_lhs) - np.exp(ld_rhs))
-    return float(max(res_mid, res_full))
-
-
-def _batch_free(x):
-    """A float for a single matrix's value, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
+    ld_rhs = (logdet(s1.assemble()) + logdet(s2.assemble()) + logdet(sl.assemble())
+              - 2j * ld_d21inv.imag)
+    res_full = np.abs(np.exp(ld_lhs) - np.exp(ld_rhs))
+    return batch_free(np.maximum(res_mid, res_full))
 
 
 def eigenphases(s):
@@ -351,7 +316,7 @@ def phase_shift(s):
     of the assembled matrix, hence real and defined modulo pi; one per
     matrix of a stack.
     """
-    return _batch_free(0.5 * np.sum(eigenphases(s), axis=-1))
+    return batch_free(0.5 * np.sum(eigenphases(s), axis=-1))
 
 
 def matched_phase_increment(phases_a, phases_b):
@@ -371,7 +336,7 @@ def matched_phase_increment(phases_a, phases_b):
     best = np.argmin(worst, axis=-1)[..., None]
     delta = 0.5 * np.take_along_axis(np.sum(diffs, axis=-1), best, axis=-1)[..., 0]
     jump = np.take_along_axis(worst, best, axis=-1)[..., 0]
-    return _batch_free(delta), _batch_free(jump)
+    return batch_free(delta), batch_free(jump)
 
 
 def dos_change(sampler, omega, h):
@@ -402,4 +367,4 @@ def dos_change(sampler, omega, h):
             f"eigenphase moved by {np.max(worst):.3f} rad over 2h"
             f"{worst_member(worst)}; reduce the step"
         )
-    return _batch_free(delta / (2 * h) / np.pi)
+    return batch_free(delta / (2 * h) / np.pi)

@@ -306,6 +306,86 @@ class TestStackedUnitarity:
             blockmat.solve(a, np.eye(2))
 
 
+def loop(fn, *stacks):
+    """fn over the members of equal-batch stacks, restacked on that batch."""
+    batch = stacks[0].shape[:-2]
+    out = np.array([fn(*(x[i] for x in stacks)) for i in np.ndindex(batch)])
+    return out.reshape(batch + out.shape[1:])
+
+
+def close(a, b, tol=1e-13):
+    return np.shape(a) == np.shape(b) and np.max(np.abs(np.asarray(a) - b), initial=0.0) <= tol
+
+
+class TestStackedIdentityHelpers:
+    """The identity helpers on a (2, 3) batch equal a loop of single calls;
+    a single matrix keeps returning a Python scalar."""
+
+    @staticmethod
+    def unitaries(n, seed=0):
+        return blockmat.random_unitary(n, range(seed, seed + 6)).reshape(2, 3, n, n)
+
+    def test_random_fixtures_equal_per_seed_draws(self):
+        seeds = [5, 17, 2**31 - 2]
+        for make in (blockmat.random_unitary, blockmat.random_contraction):
+            stack = make(4, seeds)
+            assert all(np.array_equal(stack[i], make(4, s)) for i, s in enumerate(seeds))
+
+    def test_logdet(self):
+        m = self.unitaries(5) @ np.diag([3.0, 1, 1, 1, 0.2])
+        ld = blockmat.logdet(m)
+        assert ld.shape == (2, 3) and close(ld, loop(blockmat.logdet, m))
+        assert isinstance(blockmat.logdet(m[0, 0]), complex)
+
+    def test_logdet_names_the_singular_member(self):
+        m = self.unitaries(3)
+        m[1, 2, 0] = 0.0
+        with pytest.raises(SingularMatrix, match=r"matrix \(1, 2\) of the stack"):
+            blockmat.logdet(m)
+
+    def test_logdet_minus_one_member_gets_plus_pi(self):
+        m = np.array([[[complex(-1.0, -0.0)]], [[1j]], [[complex(-1.0, -0.0)]]])
+        ld = blockmat.logdet(m)
+        assert list(ld.imag) == [np.pi, np.pi / 2, np.pi] and not ld.real.any()
+
+    @pytest.mark.parametrize("which", ["A", "D"])
+    def test_block2x2_and_schur_complement(self, which):
+        u = self.unitaries(7)
+        m = blockmat.Block2x2.split(u, 3)
+        assert (m.n_a, m.n_d) == (3, 4) and np.array_equal(m.assemble(), u)
+        comp = blockmat.schur_complement(m, which)
+        single = loop(lambda x: blockmat.schur_complement(blockmat.Block2x2.split(x, 3), which), u)
+        assert close(comp, single)
+
+    def test_block2x2_rejects_unequal_batch_axes(self):
+        m = blockmat.Block2x2.split(self.unitaries(4), 2)
+        with pytest.raises(ValueError, match="batch axes"):
+            blockmat.Block2x2(m.A, m.B, m.C, m.D[0])
+
+    def test_matrix_det_lemma(self):
+        m = blockmat.Block2x2.split(self.unitaries(8), 4)
+        d = self.unitaries(4, seed=40)
+        res = blockmat.matrix_det_lemma_residual(m.A, m.B, d, m.C)
+        assert close(res, loop(blockmat.matrix_det_lemma_residual, m.A, m.B, d, m.C))
+        assert isinstance(blockmat.matrix_det_lemma_residual(m.A[0, 0], m.B[0, 0], d[0, 0],
+                                                             m.C[0, 0]), float)
+
+    def test_unitary_block_relations(self):
+        u = self.unitaries(6)
+        rep = blockmat.unitary_block_relations(blockmat.Block2x2.split(u, 3))
+        singles = [[blockmat.unitary_block_relations(blockmat.Block2x2.split(u[i, j], 3))
+                    for j in range(3)] for i in range(2)]
+        for key, value in rep.items():
+            assert close(value, [[r[key] for r in row] for row in singles])
+            assert isinstance(singles[0][0][key], float)
+
+    def test_unitary_block_relations_names_the_member(self):
+        u = self.unitaries(6)
+        u[0, 1] *= 1.001
+        with pytest.raises(NotUnitary, match=r"matrix \(0, 1\) of the stack"):
+            blockmat.unitary_block_relations(blockmat.Block2x2.split(u, 3))
+
+
 class TestSeed309Fixture:
     """`casimir verify --trials 500 --seed 309` fails unitary_block_offdiag
     with 1.496e-10 against its bound of 1e-10, at trial 92 (n = 12,

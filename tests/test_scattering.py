@@ -16,7 +16,6 @@ from casimir.errors import (
 from casimir.scattering import (
     ScatteringMatrix,
     alpha_phase,
-    chain,
     chain3_factorization_residual,
     det_composition_residual,
     dos_change,
@@ -349,7 +348,7 @@ class TestChain3:
         s1 = haar_scatterer(n, 2, seed=seed)
         s2 = haar_scatterer(n, 3, seed=seed + 50)
         sl = translation_scatterer(random_contraction(n, seed + 99))
-        via_chain = chain([s1, sl, s2])
+        via_chain = star(s1, promote_internal(star(sl, s2), n))
         expected = compose_chain_by_network_solve(s1, sl, s2)
         assert np.allclose(via_chain.ee, expected, atol=1e-11)
 
@@ -404,10 +403,9 @@ class TestDosChange:
             dos_change(sampler, omega=1.0, h=1.0)
 
 
-def haar_stack(n_int, n_ext, seeds):
-    return ScatteringMatrix.from_full(
-        np.stack([random_unitary(n_int + n_ext, s) for s in seeds]), n_int
-    )
+def haar_stack(n_int, n_ext, seeds, batch=None):
+    u = np.stack([random_unitary(n_int + n_ext, s) for s in seeds])
+    return ScatteringMatrix.from_full(u.reshape(batch + u.shape[1:]) if batch else u, n_int)
 
 
 def member(s, i):
@@ -520,6 +518,44 @@ class TestStacks:
         assert dos_change(sampler, np.array([1.0, 2.0]), 0.05).shape == (2,)
         with pytest.raises(BranchJump, match=r"matrix 2 of the stack"):
             dos_change(sampler, np.array([1.0, 2.0, 4.6, 8.0]), 0.05)
+
+    def test_det_composition_and_alpha_phase(self):
+        s1 = haar_stack(2, 3, range(6), batch=(2, 3))
+        s2 = haar_stack(2, 2, range(60, 66), batch=(2, 3))
+        res, alpha = det_composition_residual(s1, s2), alpha_phase(s1, s2)
+        assert res.shape == alpha.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            single = det_composition_residual(member(s1, i), member(s2, i))
+            assert isinstance(single, float)
+            assert_close(res[i], single)
+            single = alpha_phase(member(s1, i), member(s2, i))
+            assert isinstance(single, complex)
+            assert_close(alpha[i], single)
+
+    def test_chain3_factorization(self):
+        k = random_contraction(4, range(12)).reshape(2, 2, 3, 4, 4)
+        s1 = ScatteringMatrix.from_full(blockmat.unitary_dilation(k[0]), 2)
+        s2 = ScatteringMatrix.from_full(blockmat.unitary_dilation(k[1]), 2)
+        sl = translation_scatterer(random_contraction(2, range(20, 26)).reshape(2, 3, 2, 2))
+        res = chain3_factorization_residual(s1, sl, s2)
+        assert res.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            single = chain3_factorization_residual(member(s1, i), member(sl, i), member(s2, i))
+            assert isinstance(single, float)
+            assert_close(res[i], single)
+
+    def test_round_trip_series(self):
+        a = random_contraction(3, range(6)).reshape(2, 3, 3, 3)
+        b = random_contraction(3, range(10, 16)).reshape(2, 3, 3, 3)
+        series = round_trip_series(a, b, 40)
+        for i in np.ndindex(2, 3):
+            assert_close(series[i], round_trip_series(a[i], b[i], 40))
+
+    def test_non_unitary_member_is_named(self):
+        s1 = haar_stack(1, 2, range(4))
+        bad = ScatteringMatrix.from_full(s1.assemble() * np.array([1, 1, 1.001, 1])[:, None, None], 1)
+        with pytest.raises(NotUnitary, match=r"S1 \(matrix 2 of the stack\)"):
+            det_composition_residual(bad, s1)
 
     def test_unequal_batch_shapes_rejected(self):
         s = haar_stack(1, 1, range(3))
