@@ -92,6 +92,8 @@ def _emit(args, payload, columns, rows):
 
 def cmd_verify(args, cfg):
     trials = args.trials if args.trials is not None else int(cfg.get("trials", 50))
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
     rows = [[name, residual, bound, "PASS" if residual <= bound else "FAIL"]
             for name, residual, bound in identities.run(trials, seed)]

@@ -11,10 +11,14 @@ the imaginary frequency axis, where the integrand is real, negative and
 smooth: each order N is an N x N Gauss-Legendre rule on the maps
 xi = (c/L) t^2 and, at each xi, kappa = kappa_0(xi) + s/L, with t and s
 in (0, inf) (see ``energy_per_area``). The real-frequency path evaluates
-Im log(1 - r1 r2 e^{2 i kz L}) literally; it iterates with q outermost
-because at fixed q the frequency integrand decays like 1/w^4, while at
-fixed frequency the q-integral picks up a non-decaying grazing-incidence
-shell. Both paths agree channel by channel, which is checked in the tests.
+Im log(1 - r1 r2 e^{2 i kz L}) literally, with q outermost because at fixed
+q the frequency integrand decays like 1/w^4, while at fixed frequency the
+q-integral picks up a non-decaying grazing-incidence shell. Each order of
+the q rule is one stack of channels, one per q node, on the polarization
+sum; the sum cannot wrap because it is the argument of a product of two
+factors with Re > 0. The frequency panels of all channels are refined
+together and evaluated in blocks of bounded size. Both paths agree channel
+by channel, which is checked in the tests.
 """
 
 from __future__ import annotations
@@ -196,65 +200,109 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
     )
 
 
-def _real_axis_channel_values(sys: PlaneSystem, q, pol, omega):
-    """Im log(1 - r1 r2 e^{2 i kz L}) for an array of real frequencies at
-    fixed transverse momentum."""
+def _real_axis_channel_values(sys: PlaneSystem, q, omega):
+    """Sum over polarizations of Im log(1 - r1 r2 e^{2 i kz L}) at the real
+    frequencies ``omega``, each paired with the transverse momentum of the
+    same index in ``q``.
+
+    With x = r1 r2 e^{2 i kz L} and |x| < 1 (dissipative mirrors), each
+    factor 1 - x has Re > 0, so the arguments of the two factors add up to
+    less than pi in modulus: the sum is the argument of their product.
+    """
     w = np.asarray(omega, dtype=float)
-    q_sq = q**2
+    q_sq = np.asarray(q, dtype=float) ** 2
     em, kzm = _eps_k(sys.medium, w, q_sq, real=True)
-    i = POLARIZATIONS.index(pol)
-    r1 = _fresnel(sys.mat1, em, kzm, w, q_sq, real=True)[i]
-    r2 = _fresnel(sys.mat2, em, kzm, w, q_sq, real=True)[i]
-    return np.log(1.0 - r1 * r2 * np.exp(2j * kzm * sys.L)).imag
+    r1te, r1tm = _fresnel(sys.mat1, em, kzm, w, q_sq, real=True)
+    r2te, r2tm = (r1te, r1tm) if sys.mat2 == sys.mat1 else _fresnel(
+        sys.mat2, em, kzm, w, q_sq, real=True)
+    phase = np.exp(2j * kzm * sys.L)
+    return np.angle((1.0 - r1te * r2te * phase) * (1.0 - r1tm * r2tm * phase))
+
+
+# integrand points per call of ``f`` in ``_adaptive_panels``: bounds the
+# temporaries of the Fresnel amplitudes whatever the number of channels
+_BLOCK = 4096
 
 
 def _adaptive_panels(f, edges, rel_tol, abs_floor, max_rounds=40):
-    """Integrate f over [edges[0], edges[-1]] with per-panel Gauss-Legendre
-    of orders 8 and 16; panels whose order difference dominates the error
-    budget are bisected. Returns (value, error_estimate).
+    """Integrate f over [edges[c, 0], edges[c, -1]] for every channel c of
+    the 2-D ``edges``, with per-panel Gauss-Legendre of orders 8 and 16.
+    Repeated edges give empty panels, which are dropped, so channels may
+    have different numbers of panels. In each channel the panels whose order
+    difference dominates the channel's error budget are bisected; a channel
+    whose summed difference meets its budget is frozen. Returns the arrays
+    (values, error_estimates), one entry per channel.
 
-    ``f`` must accept an ndarray of abscissae.
+    ``f(c, x)`` takes paired arrays of channel indices and abscissae, at
+    most ``_BLOCK`` long, and returns the integrand at each pair.
     """
-    x8, w8 = gauss_legendre_01(8)
-    x16, w16 = gauss_legendre_01(16)
+    (x8, w8), (x16, w16) = gauss_legendre_01(8), gauss_legendre_01(16)
+    nodes = np.concatenate([x8, x16])
 
-    def panel_eval(a_arr, b_arr):
-        width = b_arr - a_arr
-        pts = np.concatenate(
-            [a_arr[:, None] + width[:, None] * x8[None, :],
-             a_arr[:, None] + width[:, None] * x16[None, :]],
-            axis=1,
-        )
-        vals = f(pts.ravel()).reshape(len(a_arr), 24)
-        coarse = (vals[:, :8] @ w8) * width
-        fine = (vals[:, 8:] @ w16) * width
+    def panel_eval(a, b, c):
+        parts, step = [], _BLOCK // len(nodes)  # whole panels per call of f
+        for i in range(0, len(a), step):
+            ai, wi = a[i:i + step, None], b[i:i + step, None] - a[i:i + step, None]
+            vals = f(np.repeat(c[i:i + step], len(nodes)), (ai + wi * nodes).ravel())
+            vals = vals.reshape(len(ai), -1)
+            # row sums, not BLAS: a panel's value must not depend on its call's size
+            parts.append(np.column_stack([(vals[:, :8] * w8).sum(axis=1),
+                                          (vals[:, 8:] * w16).sum(axis=1)]) * wi)
+        coarse, fine = np.concatenate(parts).T
         return fine, np.abs(fine - coarse)
 
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    vals, errs = panel_eval(a, b)
+    n = len(edges)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    chan = np.repeat(np.arange(n), edges.shape[1] - 1)
+    a, b, chan = a[b > a], b[b > a], chan[b > a]
+    vals, errs = panel_eval(a, b, chan)
+    values, errors, active = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
     for _ in range(max_rounds):
-        total = float(np.sum(vals))
-        total_err = float(np.sum(errs))
-        budget = max(rel_tol * abs(total), abs_floor)
-        if total_err <= budget:
-            return total, total_err
-        worst = errs > budget / max(len(errs), 1)
-        if not np.any(worst):
-            worst = errs >= np.max(errs)
+        total, total_err = np.bincount(chan, vals, n), np.bincount(chan, errs, n)
+        budget = np.maximum(rel_tol * np.abs(total), abs_floor)
+        done = active & (total_err <= budget)
+        values[done], errors[done] = total[done], total_err[done]
+        active &= ~done
+        if not active.any():
+            return values, errors
+        live = active[chan]
+        a, b, chan, vals, errs = a[live], b[live], chan[live], vals[live], errs[live]
+        worst = errs > (budget / np.maximum(np.bincount(chan, minlength=n), 1))[chan]
+        # a channel with no panel above its share bisects its largest
+        peak = np.zeros(n)
+        np.maximum.at(peak, chan, errs)
+        worst |= (np.bincount(chan, worst, n) == 0)[chan] & (errs >= peak[chan])
         mid = (a[worst] + b[worst]) / 2
-        new_a = np.concatenate([a[~worst], a[worst], mid])
-        new_b = np.concatenate([b[~worst], mid, b[worst]])
-        keep_vals, keep_errs = vals[~worst], errs[~worst]
-        nv, ne = panel_eval(
-            np.concatenate([a[worst], mid]), np.concatenate([mid, b[worst]])
-        )
-        a, b = new_a, new_b
-        vals = np.concatenate([keep_vals, nv])
-        errs = np.concatenate([keep_errs, ne])
+        nv, ne = panel_eval(np.concatenate([a[worst], mid]),
+                            np.concatenate([mid, b[worst]]), np.tile(chan[worst], 2))
+        a = np.concatenate([a[~worst], a[worst], mid])
+        b = np.concatenate([b[~worst], mid, b[worst]])
+        chan = np.concatenate([chan[~worst], chan[worst], chan[worst]])
+        vals = np.concatenate([vals[~worst], nv])
+        errs = np.concatenate([errs[~worst], ne])
     raise OscillatoryFailure(
-        f"adaptive frequency integration exceeded {max_rounds} refinement rounds"
-    )
+        f"adaptive frequency integration exceeded {max_rounds} refinement rounds")
+
+
+def _frequency_integrals(sys: PlaneSystem, q, omega_max):
+    """(values, error estimates) of int_0^omega_max dw sum_pol
+    Im log(1 - r1 r2 e^{2 i kz L}) for every transverse momentum in ``q``,
+    all refined together by ``_adaptive_panels``. The error includes a bound
+    on the tail beyond ``omega_max``."""
+    # panel edges: half-period of e^{2 i w L / c}, plus the branch point of
+    # kz at w = c q (clipped onto an end, where it adds no panel)
+    n_panels = max(int(np.ceil(omega_max / (np.pi * C_LIGHT / (2 * sys.L)))), 8)
+    grid = np.linspace(0.0, omega_max, n_panels + 1)
+    grid[0] = omega_max * 1e-12
+    branch = np.clip(C_LIGHT * q, grid[0], omega_max)[:, None]
+    edges = np.sort(np.hstack([np.broadcast_to(grid, (len(q), len(grid))), branch]), axis=1)
+    vals, errs = _adaptive_panels(
+        lambda c, w: _real_axis_channel_values(sys, q[c], w), edges,
+        rel_tol=1e-6, abs_floor=1e-9 * omega_max / n_panels)
+    # tail bound: the envelope of the summed integrand decays like 1/w^4
+    # beyond omega_max, so the tail is at most |f(omega_max)| omega_max / 3
+    probe = _real_axis_channel_values(sys, q, np.full(len(q), omega_max))
+    return vals, errs + np.abs(probe) * omega_max / 3.0
 
 
 def energy_per_area_real_axis(
@@ -262,14 +310,18 @@ def energy_per_area_real_axis(
 ):
     """Interaction energy per unit area evaluated on the real frequency axis:
 
-    E/A = hbar/(4 pi^2) sum_pol int_0^inf q dq int_0^omega_max dw
-          Im log(1 - r1 r2 e^{2 i kz L})
+    E/A = hbar/(4 pi^2) int_0^inf q dq int_0^omega_max dw
+          sum_pol Im log(1 - r1 r2 e^{2 i kz L})
 
     Requires strictly dissipative mirror materials (positive damping), so
-    that |r1 r2 e^{2 i kz L}| < 1 and the principal branch is safe. The
-    frequency integral at fixed q decays like 1/w^4; the tail beyond
-    ``omega_max``, the q cut-off remainder and the panel errors are
-    bounded and folded into the error estimate.
+    that |r1 r2 e^{2 i kz L}| < 1 and the principal branch is safe. Each
+    Gauss-Legendre order of the q integral evaluates all its q nodes as one
+    stack: every q is one channel whose integrand is the polarization sum,
+    from one Fresnel evaluation per point, and the frequency panels of all
+    channels are refined together (``_adaptive_panels``), in blocks of at
+    most ``_BLOCK`` points. The frequency integral at fixed q decays like
+    1/w^4; the tail beyond ``omega_max``, the q cut-off remainder and the
+    panel errors are bounded and folded into the error estimate.
 
     The outer q refinement stops at ``max(quad.tol, 1e-4)`` relative; a
     tighter ``quad.tol`` is counted as ``events["tol_floored"]``. Returns
@@ -280,14 +332,11 @@ def energy_per_area_real_axis(
     DomainError
         If either mirror material has no damping.
     OscillatoryFailure
-        If the per-channel adaptive refinement cannot resolve the
-        oscillatory integrand.
+        If the adaptive frequency refinement cannot resolve the oscillatory
+        integrand.
     """
-    for mat in (sys.mat1, sys.mat2):
-        if not is_dissipative(mat):
-            raise DomainError(
-                "real-axis evaluation requires strictly dissipative mirrors"
-            )
+    if not (is_dissipative(sys.mat1) and is_dissipative(sys.mat2)):
+        raise DomainError("real-axis evaluation requires strictly dissipative mirrors")
     if omega_max <= 0:
         raise DomainError("omega_max must be > 0")
     L = sys.L
@@ -295,41 +344,15 @@ def energy_per_area_real_axis(
     # real-axis values are exponentially small results of O(1) oscillatory
     # cancellation, so they are cut off and bounded instead of evaluated.
     q_max = 8.0 / L
-    # panel edges: half-period of e^{2 i w L / c}
-    n_panels = max(int(np.ceil(omega_max / (np.pi * C_LIGHT / (2 * L)))), 8)
-
-    def inner(q):
-        edges = np.linspace(0.0, omega_max, n_panels + 1)
-        edges[0] = omega_max * 1e-12
-        wq = C_LIGHT * q
-        if 0 < wq < omega_max:  # branch point of kz at w = c q
-            edges = np.unique(np.concatenate([edges, [wq]]))
-        total = 0.0
-        err = 0.0
-        for pol in POLARIZATIONS:
-            v, e = _adaptive_panels(
-                lambda w, p=pol: _real_axis_channel_values(sys, q, p, w),
-                edges,
-                rel_tol=1e-6,
-                abs_floor=1e-9 * omega_max / n_panels,
-            )
-            total += v
-            err += e
-        # tail bound: envelope |r1 r2| ~ C / w^4 beyond omega_max
-        probe = _real_axis_channel_values(sys, q, "TM", np.array([omega_max]))
-        tail = abs(float(probe[0])) * omega_max / 3.0
-        return total, err + tail
-
-    # cut-off remainder, from the exponential model inner ~ e^{-2qL}; it
-    # does not depend on the quadrature order
-    edge, _ = inner(q_max)
+    # cut-off remainder, from the exponential model e^{-2qL} of the
+    # frequency integral; it does not depend on the quadrature order
+    edge = _frequency_integrals(sys, np.array([q_max]), omega_max)[0][0]
     q_tail = HBAR / (4 * np.pi**2) * abs(edge) * (q_max / (2 * L) + 1 / (4 * L**2))
     inner_errs = []
 
     def evaluate(v, wv):
-        q = q_max * v
-        jq = q_max * wv
-        vals, errs = np.array([inner(qi) for qi in q]).T
+        q, jq = q_max * v, q_max * wv
+        vals, errs = _frequency_integrals(sys, q, omega_max)
         inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq * q * errs)))
         return HBAR / (4 * np.pi**2) * float(np.sum(jq * q * vals))
 

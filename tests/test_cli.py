@@ -45,6 +45,15 @@ class TestVerify:
         assert "NotUnitary" in captured.err
         assert f"(matrix {broken['member']} of the stack)" in captured.err
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_is_config_error(self, trials, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": trials}))
+        for argv in (["verify", "--trials", str(trials)], ["verify", "--config", str(cfg)]):
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "trials" in err
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
         assert run_cli(["verify", "--trials", "4", "--out", str(out)]) == 0

@@ -7,11 +7,14 @@ from scipy.integrate import quad
 
 from casimir.core import C_LIGHT, QuadratureSpec
 from casimir.errors import DomainError, NotConverged
+from casimir import plane
 from casimir.materials import VACUUM, ConstantEps, Drude, PerfectMirror, Plasma
 from casimir.plane import (
     PlaneChannel,
     PlaneSystem,
+    _BLOCK,
     _adaptive_panels,
+    _frequency_integrals,
     _real_axis_channel_values,
     energy_per_area,
     energy_per_area_real_axis,
@@ -219,6 +222,19 @@ class TestEnergyPerArea:
         assert err.value.result.value < 0
 
 
+def _count_points(monkeypatch):
+    """The list that collects the number of points of every call of
+    ``plane._real_axis_channel_values`` from here on."""
+    sizes, inner = [], plane._real_axis_channel_values
+
+    def counted(sys_, q, omega):
+        sizes.append(np.size(omega))
+        return inner(sys_, q, omega)
+
+    monkeypatch.setattr(plane, "_real_axis_channel_values", counted)
+    return sizes
+
+
 class TestRealAxis:
     def test_single_channel_toy_vs_quad_oracle(self):
         # fixed q = 0 slice with a constant scalar reflection r < 1
@@ -229,7 +245,8 @@ class TestRealAxis:
 
         band = (1e10, 40 * C_LIGHT / L)
         edges = np.linspace(band[0], band[1], 257)
-        val, err = _adaptive_panels(f, edges, rel_tol=1e-9, abs_floor=1e-12 * band[1])
+        (val,), _ = _adaptive_panels(lambda c, w: f(w), edges[None], rel_tol=1e-9,
+                                     abs_floor=1e-12 * band[1])
         oracle = 0.0
         for a, b in zip(np.linspace(band[0], band[1], 65)[:-1],
                         np.linspace(band[0], band[1], 65)[1:]):
@@ -250,6 +267,7 @@ class TestRealAxis:
             sys_, omega_max=20 * GOLD.omega_p, quad=QuadratureSpec(base_order=48, tol=1e-4, max_doublings=2)
         )
         assert abs(real.value - imag.value) / abs(imag.value) < 1e-3
+        assert real.error_estimate >= abs(real.value - imag.value)
 
     def test_lossy_medium_matches_imaginary_axis(self):
         # the dissipative-intervening-medium claim, checked numerically
@@ -262,6 +280,7 @@ class TestRealAxis:
             quad=QuadratureSpec(base_order=64, tol=1e-3, max_doublings=1),
         )
         assert abs(real.value - imag.value) / abs(imag.value) < 1e-3
+        assert real.error_estimate >= abs(real.value - imag.value)
 
     def test_requires_dissipation(self):
         sys_ = PlaneSystem(PerfectMirror(), PerfectMirror(), VACUUM, 1e-6)
@@ -269,19 +288,51 @@ class TestRealAxis:
             energy_per_area_real_axis(sys_, omega_max=1e16)
 
     def test_channel_values_match_scalar_channel_api(self):
-        # propagating and evanescent channels in a lossy medium
+        # propagating and evanescent channels in a lossy medium, as one
+        # stack of (q, omega) pairs against the TE + TM sum channel by
+        # channel, for equal mirrors (amplitudes shared) and unequal ones
         medium = Drude(5e15, 8e13)
-        sys_ = PlaneSystem(GOLD, Drude(9e15, 2e14), medium, 200e-9)
-        omega = np.array([3e14, 2e15, 1e16, 4e16])
-        for q in (0.0, 5e6, 8e7):
-            for pol in ("TE", "TM"):
-                vals = _real_axis_channel_values(sys_, q, pol, omega)
-                for w, v in zip(omega, vals):
-                    ch = PlaneChannel(q, pol, omega=w)
+        q, omega = np.meshgrid([0.0, 5e6, 8e7], [3e14, 2e15, 1e16, 4e16])
+        for mat2 in (GOLD, Drude(9e15, 2e14)):
+            sys_ = PlaneSystem(GOLD, mat2, medium, 200e-9)
+            vals = _real_axis_channel_values(sys_, q.ravel(), omega.ravel())
+            for k, w, v in zip(q.ravel(), omega.ravel(), vals):
+                expected = 0.0
+                for pol in ("TE", "TM"):
+                    ch = PlaneChannel(k, pol, omega=w)
                     r1 = fresnel_r(sys_.mat1, medium, ch)
                     r2 = fresnel_r(sys_.mat2, medium, ch)
                     t = translation_factor(medium, ch, sys_.L)
-                    assert v == pytest.approx(np.log(1 - r1 * r2 * t**2).imag, abs=1e-13)
+                    expected += np.log(1 - r1 * r2 * t**2).imag
+                assert v == pytest.approx(expected, abs=1e-13)
+
+    def test_stacked_channels_match_one_channel_runs(self, monkeypatch):
+        # the panels of each q channel are refined as if it were alone: with
+        # c q inside the band, at the band's lower end (q = 0) and at q_max;
+        # a converged channel is frozen, so the stack evaluates exactly the
+        # points of the one-channel runs together
+        sys_ = PlaneSystem(GOLD, Drude(9e15, 2e14), Drude(5e15, 8e13), 200e-9)
+        omega_max = 10 * GOLD.omega_p
+        q = np.array([0.0, 1e6, 5e6, 2e7, 8.0 / sys_.L])
+        assert 0 < C_LIGHT * q[2] < omega_max
+        sizes = _count_points(monkeypatch)
+        stacked = _frequency_integrals(sys_, q, omega_max)
+        stacked_points = sum(sizes)
+        for i in range(len(q)):
+            alone = _frequency_integrals(sys_, q[i:i + 1], omega_max)
+            for got, want in zip(stacked, alone):
+                assert got[i] == pytest.approx(want[0], rel=1e-13, abs=0)
+        assert 2 * stacked_points == sum(sizes)
+
+    def test_integrand_blocks_stay_bounded(self, monkeypatch):
+        sizes = _count_points(monkeypatch)
+        sys_ = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
+        energy_per_area_real_axis(
+            sys_, 10 * GOLD.omega_p, QuadratureSpec(base_order=8, tol=0.5, max_doublings=1))
+        # the order-8 stack holds 8 channels of 60 panels of 24 points:
+        # about three blocks
+        assert max(sizes) <= _BLOCK == 4096
+        assert sum(size > _BLOCK // 2 for size in sizes) >= 2
 
     def test_oscillatory_failure_at_depth_limit(self):
         from casimir.errors import OscillatoryFailure
@@ -291,4 +342,5 @@ class TestRealAxis:
 
         edges = np.linspace(1.0, 2.0, 3)
         with pytest.raises(OscillatoryFailure):
-            _adaptive_panels(f, edges, rel_tol=1e-14, abs_floor=0.0, max_rounds=1)
+            _adaptive_panels(lambda c, w: f(w), edges[None], rel_tol=1e-14, abs_floor=0.0,
+                             max_rounds=1)
