@@ -9,11 +9,11 @@ The two are related by an integration by parts, so the phase-shift route
 carries the boundary term (hbar/2 pi) [w dphi]_a^b; with it included the
 routes agree to quadrature accuracy.
 
-The phase and its derivative are those of the whole cavity, with no
-reference subtracted: the translation between the mirrors is lossless at
-real frequency, the dilation of [[0, t], [t, 0]] with |t| = 1, so
-det S_L = |t|^4 = 1 at every frequency and its phase adds nothing to
-either route. A lossy gap would make it move and need the reference.
+The phase is that of the whole dilated cavity, loss ports included; the
+density of states that of its internal round trip alone (``_dos_rel``).
+Neither subtracts a reference: the translation between the mirrors is
+lossless at real frequency, the dilation of [[0, t], [t, 0]] with |t| = 1,
+so det S_L = |t|^4 = 1 at every frequency. A lossy gap would make it move.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .core import C_LIGHT, HBAR, gauss_legendre_01
 from .errors import BranchJump, NotContraction
 from .scattering import (
     ScatteringMatrix,
-    dos_change,
     eigenphases,
     matched_phase_increment,
     promote_internal,
+    round_trip,
     star,
     translation_scatterer,
 )
@@ -68,16 +68,13 @@ def cavity(omega, L, r, t, mirrors=None):
 
 
 def phase_profile(samples):
-    """Branch-continuous phase shifts of a sequence of unitary matrices:
-    a stack (ScatteringMatrix or array) or a list of single matrices.
+    """Branch-continuous phase shifts of a stack of unitary matrices
+    (ScatteringMatrix or array).
 
     The first value is the principal phase shift; subsequent values follow
     by nearest-branch matching of the eigenphases between neighbours. The
     eigenphases of each sample are computed once.
     """
-    if not isinstance(samples, (ScatteringMatrix, np.ndarray)):
-        samples = np.stack([s.assemble() if isinstance(s, ScatteringMatrix) else s
-                            for s in samples])
     phases = eigenphases(samples)
     inc, worst = matched_phase_increment(phases[:-1], phases[1:])
     if np.any(worst >= np.pi / 2):
@@ -85,17 +82,17 @@ def phase_profile(samples):
     return np.cumsum(np.concatenate([[0.5 * np.sum(phases[0])], inc]))
 
 
-def _dos_rel(omega, h, L, r, t, mirrors):
-    """Density-of-states change of the cavity at ``omega`` (or an array):
-    Richardson extrapolation of ``scattering.dos_change`` over the half
-    steps h and h/2, which cancels the O(h^2) term of the central difference."""
-
-    def sampler(w):
-        return cavity(w, L, r, t, mirrors)[0]
-
-    d1 = dos_change(sampler, omega, h)
-    d2 = dos_change(sampler, omega, h / 2)
-    return (4.0 * d2 - d1) / 3.0
+def _dos_rel(sl, L, mirrors):
+    """Density-of-states change (1/pi) dphi/domega of the cavity, for the
+    translation (stack) ``sl`` that ``cavity`` returns. By the chain
+    composition theorem phi = const - Im log det(1 - M), M = S1ii T12 S2ii T21.
+    Only T depends on omega, dM/domega = (2iL/c) M, so dphi/domega =
+    (2L/c) Re tr(D21 - 1), taken as D21 M to keep a weak round trip accurate."""
+    m1, m2 = mirrors
+    n = m1.n_int
+    s1, s2 = m1.ii @ sl.ie[..., :n], m2.ii @ sl.ei[..., :n, :]
+    d21 = round_trip(s1, s2).D21
+    return 2 * L / (np.pi * C_LIGHT) * np.einsum("...ij,...ji->...", d21, s1 @ s2).real
 
 
 def band_energies(L, r, t, band, panels=None, order=16):
@@ -125,12 +122,11 @@ def band_energies(L, r, t, band, panels=None, order=16):
     weights = np.concatenate([[0.0], (width * wq).ravel(), [0.0]])
 
     mirrors = (lossy_mirror(r, t, "right"), lossy_mirror(r, t, "left"))
-    dphi = phase_profile(cavity(omegas, L, r, t, mirrors)[0])
+    full, sl = cavity(omegas, L, r, t, mirrors)
+    dphi = phase_profile(full)
     # the phase carries a constant offset (branch anchor plus the
     # frequency-independent mirror phases); both routes are invariant to it
-
-    h = (b - a) * 1e-5
-    deta = _dos_rel(omegas, h, L, r, t, mirrors)
+    deta = _dos_rel(sl, L, mirrors)
 
     integral_dphi = float(np.sum(weights * dphi))
     boundary = b * dphi[-1] - a * dphi[0]

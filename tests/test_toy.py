@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from casimir import toy
 from casimir.core import C_LIGHT
 from casimir.errors import NotContraction
 from casimir.scattering import dos_change, translation_scatterer
@@ -63,31 +64,28 @@ class TestStackedCavity:
             assert np.max(np.abs(full.ee[i] - f1.ee)) <= 1e-13
             assert np.max(np.abs(sl.assemble()[i] - s1.assemble())) <= 1e-13
 
-    def test_phase_profile_of_a_stack_equals_that_of_a_list(self):
-        L = 1e-6
-        omegas = np.linspace(0.5, 2.0, 50) * C_LIGHT / L
-        full, _ = cavity(omegas, L, 0.9, 0.3)
-        singles = [cavity(w, L, 0.9, 0.3)[0] for w in omegas]
-        assert np.max(np.abs(phase_profile(full) - phase_profile(singles))) <= 1e-13
-
     def test_each_cavity_gets_one_eigendecomposition(self, monkeypatch):
-        # one phase profile and four shifted stacks for the density of
-        # states: five matrices per node, each decomposed once
-        seen = []
-        eigvals = np.linalg.eigvals
+        # one cavity stack, decomposed once for the phase profile; the
+        # density of states comes from the round trip of the same stack
+        seen, built = [], []
+        eigvals, build = np.linalg.eigvals, toy.cavity
 
         def counting(a):
             seen.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
             return eigvals(a)
 
+        def counting_cavity(omega, *args):
+            built.append(np.size(omega))
+            return build(omega, *args)
+
         monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monkeypatch.setattr(toy, "cavity", counting_cavity)
         L = 1e-6
         s = C_LIGHT / L
         res = band_energies(L, 0.9, 0.3, (0.5 * s, 3 * s), panels=10, order=8)
         nodes = len(res["rows"])
         assert nodes == 82
-        assert sum(seen) == 5 * nodes
-        assert len(seen) == 5
+        assert seen == [nodes] and built == [nodes]
 
 
 class TestLosslessTranslation:
@@ -98,17 +96,18 @@ class TestLosslessTranslation:
     L = 1e-6
 
     def sampler(self, w):
-        return translation_scatterer(np.array([[np.exp(1j * w * self.L / C_LIGHT)]]))
+        t = np.exp(1j * np.asarray(w) * self.L / C_LIGHT)
+        return translation_scatterer(t[..., None, None])
 
     def test_phase_is_constant(self):
         omegas = np.linspace(0.5, 6.0, 400) * C_LIGHT / self.L
-        phases = phase_profile([self.sampler(w) for w in omegas])
+        phases = phase_profile(self.sampler(omegas))
         assert np.ptp(phases) <= 1e-13
 
     def test_dos_vanishes(self):
-        # at the step band_energies uses for the band [0.5, 6] c/L; what is
-        # left is eigenphase rounding (a few eps per increment) over 2h,
-        # below 1e-11 of the cavity's density-of-states scale L/c
+        # at the step 1e-5 (b - a) for the band [0.5, 6] c/L; what is left
+        # is eigenphase rounding (a few eps per increment) over 2h, below
+        # 1e-11 of the cavity's density-of-states scale L/c
         h = 5.5e-5 * C_LIGHT / self.L
         omegas = np.linspace(0.5, 6.0, 200) * C_LIGHT / self.L
         worst = max(abs(dos_change(self.sampler, w, h)) for w in omegas)
@@ -116,6 +115,36 @@ class TestLosslessTranslation:
 
 
 class TestBandEnergies:
+    L = 1e-6
+
+    def test_dos_rows_match_single_mode_closed_form(self):
+        # one internal channel: M = r^2 e^(2i w L/c), so
+        # deta = (2L/pi c) Re[x/(1 - x)] with x = r^2 e^(2i w L/c)
+        s = C_LIGHT / self.L
+        rows = np.array(band_energies(self.L, 0.9, 0.3, (0.5 * s, 6 * s))["rows"])
+        omega, deta = rows[:, 0], rows[:, 2]
+        x = 0.81 * np.exp(2j * omega * self.L / C_LIGHT)
+        exact = 2 * self.L / (np.pi * C_LIGHT) * (x / (1 - x)).real
+        assert np.max(np.abs(deta - exact)) <= 1e-13 * np.max(np.abs(deta))
+
+    def test_dos_rows_match_finite_differences(self):
+        # Richardson extrapolation of the central difference of the whole
+        # dilated cavity's phase, at the band edges, the anti-resonances and
+        # a resonance, where deta is far from zero
+        a, b = 0.5 * C_LIGHT / self.L, 6 * C_LIGHT / self.L
+        rows = np.array(band_energies(self.L, 0.9, 0.3, (a, b))["rows"])
+        targets = np.array([0.5, np.pi / 2, np.pi, 3 * np.pi / 2, 6.0]) * C_LIGHT / self.L
+        idx = np.abs(rows[:, :1] - targets).argmin(axis=0)
+        omega, deta = rows[idx, 0], rows[idx, 2]
+        mirrors = (lossy_mirror(0.9, 0.3, "right"), lossy_mirror(0.9, 0.3, "left"))
+
+        def sampler(w):
+            return cavity(w, self.L, 0.9, 0.3, mirrors)[0]
+
+        h = (b - a) * 1e-5
+        fd = (4 * dos_change(sampler, omega, h / 2) - dos_change(sampler, omega, h)) / 3
+        assert np.max(np.abs(fd - deta) / np.abs(deta)) <= 1e-9
+
     def test_transparent_mirrors_zero(self):
         L = 1e-6
         s = C_LIGHT / L
