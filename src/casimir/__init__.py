@@ -34,13 +34,10 @@ from .materials import (
     refractive_index,
 )
 from .plane import (
-    PlaneChannel,
     PlaneSystem,
     energy_per_area,
     energy_per_area_real_axis,
-    fresnel_r,
     ideal_energy_per_area,
-    translation_factor,
 )
 from .scattering import (
     RoundTrip,

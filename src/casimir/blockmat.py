@@ -94,13 +94,15 @@ def batch_free(x):
 def solve(a, b, err=SingularBlock):
     """Solve a x = b by LU (``np.linalg.solve``, which broadcasts over
     stacks); raise ``err`` if a, or any matrix of its stack, is exactly
-    singular."""
+    singular, and ValueError if it is not square."""
     a = as_complex_matrix(a, "a")
+    if a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"a must be square, got shape {a.shape}")
     try:
         return np.linalg.solve(a, np.asarray(b, dtype=complex))
     except np.linalg.LinAlgError as exc:
         # the same getrf factorisation names the member with the zero pivot
-        where = worst_member(np.linalg.slogdet(a)[0] == 0) if a.shape[-1] == a.shape[-2] else ""
+        where = worst_member(np.linalg.slogdet(a)[0] == 0)
         raise err(f"matrix is singular: zero pivot in its LU factorisation{where}") from exc
 
 

@@ -1,9 +1,12 @@
 """Command-line entry point: the identity table of ``casimir.identities``,
 energy sweeps and the dissipative-cavity toy.
 
-    casimir verify|plane|sphere|toy-dos [--config FILE] [--seed N]
-            [--out PATH] [--format csv|json] [--trials N] [--lmax N]
-            [--quad-order N]
+    casimir verify  [--trials N] [--seed N]      [COMMON]
+    casimir plane   [--quad-order N]             [COMMON]
+    casimir sphere  [--lmax N] [--quad-order N]  [COMMON]
+    casimir toy-dos                              [COMMON]
+
+    COMMON: [--config FILE] [--out PATH] [--format csv|json]
 
 Configuration comes from a single JSON file; command-line flags win over
 file values. Exit codes: 0 success, 1 identity/agreement failure,
@@ -39,10 +42,11 @@ def _quad_from(cfg, args):
     q = dict(cfg.get("quad", {}))
     if args.quad_order is not None:
         q["base_order"] = args.quad_order
+    default = QuadratureSpec()
     return QuadratureSpec(
-        base_order=int(q.get("base_order", 64)),
-        max_doublings=int(q.get("max_doublings", 6)),
-        tol=float(q.get("tol", 1e-8)),
+        base_order=int(q.get("base_order", default.base_order)),
+        max_doublings=int(q.get("max_doublings", default.max_doublings)),
+        tol=float(q.get("tol", default.tol)),
     )
 
 
@@ -172,13 +176,17 @@ def cmd_toy_dos(args, cfg):
     r = float(tcfg.get("r", 0.9))
     t = float(tcfg.get("t", 0.3))
     band = tcfg.get("band", [0.5, 8.0])
+    try:
+        lo, hi = (float(b) for b in band)
+    except (TypeError, ValueError):
+        raise ValueError(f"toy band must be two numbers [lo, hi] in c/L, got {band!r}") from None
     scale = C_LIGHT / L
-    res = toy.band_energies(L, r, t, (band[0] * scale, band[1] * scale))
+    res = toy.band_energies(L, r, t, (lo * scale, hi * scale))
     e_phase, e_dos = res["phase_route"], res["dos_route"]
     denom = max(abs(e_phase), abs(e_dos), 1e-300)
     rel = abs(e_phase - e_dos) / denom
     # absolute floor: quadrature noise far below hbar times the band width
-    zero_floor = 1e-9 * HBAR * (band[1] - band[0]) * scale
+    zero_floor = 1e-9 * HBAR * (hi - lo) * scale
     agree = rel < 1e-6 or max(abs(e_phase), abs(e_dos)) < zero_floor
     columns = ["omega", "dphi", "deta"]
     rows = [[w, p, d] for w, p, d in res["rows"]]
@@ -210,16 +218,17 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_verify), ("plane", cmd_plane),
-                     ("sphere", cmd_sphere), ("toy-dos", cmd_toy_dos)):
+    # each subcommand takes the common flags and only the ones it reads
+    for name, fn, flags in (("verify", cmd_verify, ("--trials", "--seed")),
+                            ("plane", cmd_plane, ("--quad-order",)),
+                            ("sphere", cmd_sphere, ("--lmax", "--quad-order")),
+                            ("toy-dos", cmd_toy_dos, ())):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--lmax", type=int, default=None)
-        p.add_argument("--quad-order", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=int, default=None)
         p.set_defaults(func=fn)
     return parser
 

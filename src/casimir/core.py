@@ -132,8 +132,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.base_order < 8:
             raise ValueError("base_order must be >= 8")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be >= 0")
 

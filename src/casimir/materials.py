@@ -1,17 +1,20 @@
 """Dispersion models evaluable on the real frequency axis and on the
 positive imaginary axis, plus the derived complex refractive index.
 
-All models are causal with the +i gamma damping convention, so that the
-imaginary part of the refractive index describes attenuation. On the
-imaginary axis every model gives a real permittivity >= 1. The perfect
-mirror is a sentinel variant handled specially by the Fresnel amplitudes
-(r_TE = -1, r_TM = +1 exactly) rather than as a large-permittivity limit.
+Each model states its permittivity once, as ``permittivity(w)`` of a
+complex frequency w with Im w >= 0; ``eps_real_axis`` evaluates it and
+``eps_imag_axis`` takes its real part at w = i xi. All models are causal
+with the +i gamma damping convention, so that the imaginary part of the
+refractive index describes attenuation. On the imaginary axis every model
+gives a real permittivity >= 1. The perfect mirror is a sentinel variant
+handled specially by the Fresnel amplitudes (r_TE = -1, r_TM = +1 exactly)
+rather than as a large-permittivity limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -24,51 +27,61 @@ class PerfectMirror:
     """Ideal mirror sentinel; has no finite permittivity."""
 
 
+class _Dispersive:
+    """A model with a finite permittivity, whose every parameter is finite
+    and at least ``_LOWEST``."""
+
+    _LOWEST = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not self._LOWEST <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and >= {self._LOWEST:g}, got {value!r}")
+
+
 @dataclass(frozen=True)
-class Plasma:
+class Plasma(_Dispersive):
     """Lossless plasma: eps(w) = 1 - wp^2 / w^2."""
 
     omega_p: float
 
-    def __post_init__(self):
-        if self.omega_p < 0:
-            raise ValueError("omega_p must be >= 0")
+    def permittivity(self, w):
+        return 1.0 - self.omega_p**2 / w**2
 
 
 @dataclass(frozen=True)
-class Drude:
+class Drude(_Dispersive):
     """Ohmic metal: eps(w) = 1 - wp^2 / (w (w + i gamma))."""
 
     omega_p: float
     gamma: float
 
-    def __post_init__(self):
-        if self.omega_p < 0 or self.gamma < 0:
-            raise ValueError("rate parameters must be >= 0")
+    def permittivity(self, w):
+        return 1.0 - self.omega_p**2 / (w * (w + 1j * self.gamma))
 
 
 @dataclass(frozen=True)
-class ConstantEps:
+class ConstantEps(_Dispersive):
     """Non-dispersive dielectric with eps >= 1."""
 
     eps: float
+    _LOWEST = 1.0
 
-    def __post_init__(self):
-        if self.eps < 1:
-            raise ValueError("constant permittivity must be >= 1")
+    def permittivity(self, w):
+        return np.full_like(w, self.eps)
 
 
 @dataclass(frozen=True)
-class Lorentz:
+class Lorentz(_Dispersive):
     """Single resonance: eps(w) = 1 + wp^2 / (w0^2 - w^2 - i gamma w)."""
 
     omega_p: float
     omega_0: float
     gamma: float
 
-    def __post_init__(self):
-        if self.omega_p < 0 or self.omega_0 < 0 or self.gamma < 0:
-            raise ValueError("rate parameters must be >= 0")
+    def permittivity(self, w):
+        return 1.0 + self.omega_p**2 / (self.omega_0**2 - w**2 - 1j * self.gamma * w)
 
 
 MaterialModel = Union[PerfectMirror, Plasma, Drude, ConstantEps, Lorentz]
@@ -87,30 +100,29 @@ def eps_imag_axis(model, xi):
     ----------
     model : MaterialModel
     xi : float or ndarray
-        Imaginary frequency, rad/s, > 0.
+        Imaginary frequency, rad/s, finite and > 0.
 
     Returns
     -------
     float or ndarray
         PerfectMirror returns +inf as a sentinel.
+
+    Raises
+    ------
+    DomainError
+        For xi outside (0, inf), or where (i xi)^2 underflows to zero
+        (xi below about 1e-154 for Plasma and undamped Drude), which would
+        turn eps -> +inf into -inf.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi <= 0):
-        raise DomainError("imaginary frequency must be > 0")
+    if not np.all((xi > 0) & (xi < math.inf)):
+        raise DomainError("imaginary frequency must be finite and > 0")
     if isinstance(model, PerfectMirror):
         out = np.full_like(xi, math.inf)
-    elif isinstance(model, Plasma):
-        out = 1.0 + model.omega_p**2 / xi**2
-    elif isinstance(model, Drude):
-        out = 1.0 + model.omega_p**2 / (xi * (xi + model.gamma))
-    elif isinstance(model, ConstantEps):
-        out = np.full_like(xi, model.eps)
-    elif isinstance(model, Lorentz):
-        out = 1.0 + model.omega_p**2 / (
-            model.omega_0**2 + xi**2 + model.gamma * xi
-        )
     else:
-        raise TypeError(f"unknown material model {model!r}")
+        out = model.permittivity(1j * xi).real
+        if not np.all(out >= 1):
+            raise DomainError(f"eps(i xi) of {model!r} is not representable at xi = {xi.min():g}")
     return out if out.ndim else float(out)
 
 
@@ -125,18 +137,7 @@ def eps_real_axis(model, omega):
         raise DomainError("frequency must be nonzero")
     if isinstance(model, PerfectMirror):
         raise DomainError("perfect mirror has no finite permittivity")
-    if isinstance(model, Plasma):
-        out = 1.0 - model.omega_p**2 / w**2
-    elif isinstance(model, Drude):
-        out = 1.0 - model.omega_p**2 / (w * (w + 1j * model.gamma))
-    elif isinstance(model, ConstantEps):
-        out = np.full_like(w, model.eps)
-    elif isinstance(model, Lorentz):
-        out = 1.0 + model.omega_p**2 / (
-            model.omega_0**2 - w**2 - 1j * model.gamma * w
-        )
-    else:
-        raise TypeError(f"unknown material model {model!r}")
+    out = model.permittivity(w)
     return out if out.ndim else complex(out)
 
 
@@ -158,36 +159,33 @@ def refractive_index(model, omega):
 
 def is_dissipative(model):
     """True when the model has a strictly positive damping rate."""
-    return (isinstance(model, Drude) or isinstance(model, Lorentz)) and model.gamma > 0
+    return getattr(model, "gamma", 0.0) > 0
+
+
+# config name -> model; the parameters are the model's fields
+_MODELS = {"perfect_mirror": PerfectMirror, "mirror": PerfectMirror, "ideal": PerfectMirror,
+           "plasma": Plasma, "drude": Drude, "constant_eps": ConstantEps,
+           "dielectric": ConstantEps, "lorentz": Lorentz}
 
 
 def material_from_dict(spec):
     """Build a material from a config mapping, e.g.
-    {"model": "drude", "omega_p": 1.37e16, "gamma": 5.3e13}.
+    {"model": "drude", "omega_p": 1.37e16, "gamma": 5.3e13}, or from a bare
+    model name.
 
-    Recognized models: perfect_mirror | plasma | drude | constant_eps |
-    lorentz | vacuum.
+    Recognized models: perfect_mirror (mirror, ideal) | plasma | drude |
+    constant_eps (dielectric) | lorentz | vacuum; "-" may stand for "_".
     """
     if isinstance(spec, str):
         spec = {"model": spec}
-    kind = spec.get("model", "").lower().replace("-", "_")
+    if not isinstance(spec, dict):
+        raise ValueError(f"material spec must be a model name or a mapping, got {spec!r}")
+    kind = str(spec.get("model", "")).lower().replace("-", "_")
+    if kind == "vacuum":
+        return VACUUM
+    if kind not in _MODELS:
+        raise ValueError(f"unknown material model {spec!r}")
     try:
-        if kind in ("perfect_mirror", "mirror", "ideal"):
-            return PerfectMirror()
-        if kind == "vacuum":
-            return VACUUM
-        if kind == "plasma":
-            return Plasma(omega_p=float(spec["omega_p"]))
-        if kind == "drude":
-            return Drude(omega_p=float(spec["omega_p"]), gamma=float(spec["gamma"]))
-        if kind in ("constant_eps", "dielectric"):
-            return ConstantEps(eps=float(spec["eps"]))
-        if kind == "lorentz":
-            return Lorentz(
-                omega_p=float(spec["omega_p"]),
-                omega_0=float(spec["omega_0"]),
-                gamma=float(spec["gamma"]),
-            )
+        return _MODELS[kind](**{f.name: float(spec[f.name]) for f in fields(_MODELS[kind])})
     except KeyError as exc:
         raise ValueError(f"material spec {spec!r} missing parameter {exc}") from exc
-    raise ValueError(f"unknown material model {spec!r}")

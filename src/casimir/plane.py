@@ -1,17 +1,18 @@
-"""Plane-plane geometry: Fresnel reflection amplitudes, translation
-factors through a possibly dissipative medium, and the interaction energy
-per unit area.
+"""Plane-plane geometry: the interaction energy per unit area of two
+half-spaces across a possibly dissipative medium.
 
 In the plane-wave basis every channel (frequency, transverse momentum q,
-polarization) decouples, so the round-trip operator is a scalar per
-channel and the energy is a double integral over frequency and q.
+polarization) decouples, so the round-trip operator is the scalar
+x = r1 r2 e^{2 i kz L} per channel (``_round_trip``, one Fresnel pass for
+both polarizations and both frequency axes) and the energy is a double
+integral over frequency and q.
 
 Two evaluation paths are provided. The production path integrates along
 the imaginary frequency axis, where the integrand is real, negative and
 smooth: each order N is an N x N Gauss-Legendre rule on the maps
 xi = (c/L) t^2 and, at each xi, kappa = kappa_0(xi) + s/L, with t and s
 in (0, inf) (see ``energy_per_area``). The real-frequency path evaluates
-Im log(1 - r1 r2 e^{2 i kz L}) literally, with q outermost because at fixed
+Im log(1 - x) literally, with q outermost because at fixed
 q the frequency integrand decays like 1/w^4, while at fixed frequency the
 q-integral picks up a non-decaying grazing-incidence shell. Each order of
 the q rule is one stack of channels, one per q node, on the polarization
@@ -39,28 +40,6 @@ from .materials import (
     is_dissipative,
 )
 
-POLARIZATIONS = ("TE", "TM")
-
-
-@dataclass(frozen=True)
-class PlaneChannel:
-    """One plane-wave channel: transverse momentum, polarization, and a
-    frequency that lives either on the imaginary axis (xi > 0) or on the
-    real axis (omega > 0)."""
-
-    q: float
-    pol: str
-    xi: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.q < 0:
-            raise DomainError("transverse momentum must be >= 0")
-        if self.pol not in POLARIZATIONS:
-            raise DomainError(f"polarization must be one of {POLARIZATIONS}")
-        if (self.xi > 0) == (self.omega > 0):
-            raise DomainError("set exactly one of xi (imaginary axis) or omega")
-
 
 @dataclass(frozen=True)
 class PlaneSystem:
@@ -72,8 +51,8 @@ class PlaneSystem:
     L: float = 1e-6
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise DomainError("separation must be > 0")
+        if not 0 < self.L < np.inf:
+            raise DomainError(f"separation must be finite and > 0, got {self.L!r}")
         if isinstance(self.medium, PerfectMirror):
             raise DomainError("the medium cannot be a perfect mirror")
 
@@ -116,32 +95,16 @@ def _fresnel(mat, em, km, freq, q_sq, real):
     return (km - kp) / (km + kp), (ep * km - em * kp) / (ep * km + em * kp)
 
 
-def fresnel_r(mat, medium, ch: PlaneChannel):
-    """Fresnel reflection amplitude of a half-space seen from the medium;
-    real on the imaginary axis, complex on the real axis (see ``_fresnel``).
-    """
-    if isinstance(medium, PerfectMirror):
-        raise DomainError("the medium cannot be a perfect mirror")
-    real = ch.omega > 0
-    freq = ch.omega if real else ch.xi
-    em, km = _eps_k(medium, freq, ch.q**2, real)
-    r = _fresnel(mat, em, km, freq, ch.q**2, real)[POLARIZATIONS.index(ch.pol)]
-    return complex(r) if real else float(r)
-
-
-def translation_factor(medium, ch: PlaneChannel, L):
-    """One-way propagation factor across the gap.
-
-    exp(-kappa_m L) on the imaginary axis, exp(i kz L) with Im kz >= 0 on
-    the real axis; the modulus never exceeds one (passive propagation).
-    """
-    if L < 0:
-        raise DomainError("separation must be >= 0")
-    if isinstance(medium, PerfectMirror):
-        raise DomainError("the medium cannot be a perfect mirror")
-    real = ch.omega > 0
-    _, km = _eps_k(medium, ch.omega if real else ch.xi, ch.q**2, real)
-    return complex(np.exp(1j * km * L)) if real else float(np.exp(-km * L))
+def _round_trip(sys: PlaneSystem, freq, q_sq, real):
+    """(x_TE, x_TM) with x = r1 r2 e^{2 i kz L}, the round trip of the gap,
+    at the imaginary (``real`` false: e^{-2 kappa L}, real) or real
+    frequencies ``freq``, broadcast against ``q_sq``. Equal mirrors share
+    their amplitudes."""
+    em, km = _eps_k(sys.medium, freq, q_sq, real)
+    r1 = _fresnel(sys.mat1, em, km, freq, q_sq, real)
+    r2 = r1 if sys.mat2 == sys.mat1 else _fresnel(sys.mat2, em, km, freq, q_sq, real)
+    phase = np.exp(2j * km * sys.L) if real else np.exp(-2.0 * km * sys.L)
+    return r1[0] * r2[0] * phase, r1[1] * r2[1] * phase
 
 
 def ideal_energy_per_area(L):
@@ -163,11 +126,8 @@ def lifshitz_integrand(sys: PlaneSystem, xi, q):
     passive mirrors."""
     xi_col = np.atleast_1d(np.asarray(xi, dtype=float))[:, None]
     q_sq = np.atleast_2d(np.asarray(q, dtype=float)) ** 2
-    em, km = _eps_k(sys.medium, xi_col, q_sq, real=False)
-    r1te, r1tm = _fresnel(sys.mat1, em, km, xi_col, q_sq, real=False)
-    r2te, r2tm = _fresnel(sys.mat2, em, km, xi_col, q_sq, real=False)
-    damp = np.exp(-2.0 * km * sys.L)
-    return np.log1p(-r1te * r2te * damp) + np.log1p(-r1tm * r2tm * damp)
+    x_te, x_tm = _round_trip(sys, xi_col, q_sq, real=False)
+    return np.log1p(-x_te) + np.log1p(-x_tm)
 
 
 def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
@@ -209,14 +169,9 @@ def _real_axis_channel_values(sys: PlaneSystem, q, omega):
     factor 1 - x has Re > 0, so the arguments of the two factors add up to
     less than pi in modulus: the sum is the argument of their product.
     """
-    w = np.asarray(omega, dtype=float)
-    q_sq = np.asarray(q, dtype=float) ** 2
-    em, kzm = _eps_k(sys.medium, w, q_sq, real=True)
-    r1te, r1tm = _fresnel(sys.mat1, em, kzm, w, q_sq, real=True)
-    r2te, r2tm = (r1te, r1tm) if sys.mat2 == sys.mat1 else _fresnel(
-        sys.mat2, em, kzm, w, q_sq, real=True)
-    phase = np.exp(2j * kzm * sys.L)
-    return np.angle((1.0 - r1te * r2te * phase) * (1.0 - r1tm * r2tm * phase))
+    x_te, x_tm = _round_trip(sys, np.asarray(omega, dtype=float),
+                             np.asarray(q, dtype=float) ** 2, real=True)
+    return np.angle((1.0 - x_te) * (1.0 - x_tm))
 
 
 # integrand points per call of ``f`` in ``_adaptive_panels``: bounds the

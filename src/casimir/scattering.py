@@ -93,6 +93,8 @@ class ScatteringMatrix:
             k = int(internal)
         else:
             idx = list(internal)
+            if len(set(idx)) != len(idx) or not all(0 <= j < n for j in idx):
+                raise ChannelMismatch(f"internal channels {idx}: need distinct indices < {n}")
             rest = [j for j in range(n) if j not in idx]
             order = idx + rest
             full = full[(..., *np.ix_(order, order))]

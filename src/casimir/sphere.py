@@ -57,10 +57,10 @@ class SphereSystem:
     lmax: int | None = None
 
     def __post_init__(self):
-        if self.R1 <= 0 or self.R2 <= 0:
-            raise DomainError("radii must be > 0")
-        if self.L <= self.R1 + self.R2:
-            raise DomainError("spheres must not overlap: L > R1 + R2")
+        if not (0 < self.R1 < math.inf and 0 < self.R2 < math.inf):
+            raise DomainError(f"radii must be finite and > 0, got {self.R1!r}, {self.R2!r}")
+        if not self.R1 + self.R2 < self.L < math.inf:
+            raise DomainError(f"L must be finite and > R1 + R2 (no overlap), got {self.L!r}")
         if self.medium != VACUUM:
             raise DomainError("only a vacuum medium is supported for spheres")
         if self.lmax is not None and self.lmax < 1:

@@ -93,6 +93,10 @@ class TestLogdetBranchAndSolve:
         with pytest.raises(err):
             blockmat.solve(a, np.eye(2), err=err)
 
+    def test_solve_non_square_names_shape(self):
+        with pytest.raises(ValueError, match=r"square, got shape \(2, 3\)"):
+            blockmat.solve(np.ones((2, 3)), np.ones(2))
+
 
 class TestSchurComplement:
     def test_scalar_case(self):

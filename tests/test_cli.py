@@ -323,7 +323,35 @@ class TestSphere:
         assert set(expect[0]) == {"L", "xi_clamped", "mie_zeroed", "tol_floored"}
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["plane", "--lmax", "7"], ["plane", "--seed", "3"], ["plane", "--trials", "9"],
+        ["sphere", "--seed", "3"], ["sphere", "--trials", "9"],
+        ["toy-dos", "--seed", "1"], ["toy-dos", "--quad-order", "16"],
+        ["verify", "--lmax", "3"], ["verify", "--quad-order", "16"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_quad_defaults_are_the_spec_defaults(self):
+        from argparse import Namespace
+
+        from casimir.cli import _quad_from
+
+        assert _quad_from({}, Namespace(quad_order=None)) == QuadratureSpec()
+
+
 class TestToyDos:
+    @pytest.mark.parametrize("band", [[1.0], "ab", 3, [0.5, "x"]])
+    def test_malformed_band_is_config_error(self, band, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"toy": {"band": band}}))
+        assert run_cli(["toy-dos", "--config", str(cfg)]) == 2
+        assert "toy band must be two numbers" in capsys.readouterr().err
+
     def test_agreement_exit_0(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -2,11 +2,13 @@
 and the metadata schema that plane (both axes) and sphere results share on
 success and on failure."""
 
+import math
+
 import pytest
 
 from casimir.core import EVENTS, QuadratureSpec, energy
-from casimir.errors import NotConverged
-from casimir.materials import VACUUM, Drude
+from casimir.errors import DomainError, NotConverged
+from casimir.materials import VACUUM, ConstantEps, Drude, Lorentz, Plasma
 from casimir.plane import PlaneSystem, energy_per_area, energy_per_area_real_axis
 from casimir.sphere import SphereSystem, sphere_energy
 
@@ -129,3 +131,31 @@ def test_sphere_adaptive_lmax_without_doublings_is_not_converged():
     assert err.value.result.metadata["warnings"] == ["lmax not converged"]
     assert sphere_energy(SPHERES, quad, adaptive_lmax=False).metadata["lmax_history"] == [
         (2, err.value.result.value)]
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Plasma(NAN), ValueError),
+    (lambda: Plasma(INF), ValueError),
+    (lambda: Drude(1e16, NAN), ValueError),
+    (lambda: Drude(INF, 1e13), ValueError),
+    (lambda: ConstantEps(NAN), ValueError),
+    (lambda: ConstantEps(INF), ValueError),
+    (lambda: Lorentz(2e15, NAN, 1e13), ValueError),
+    (lambda: Lorentz(2e15, 6e15, INF), ValueError),
+    (lambda: PlaneSystem(GOLD, GOLD, VACUUM, NAN), DomainError),
+    (lambda: PlaneSystem(GOLD, GOLD, VACUUM, INF), DomainError),
+    (lambda: SphereSystem(NAN, 1e-7, 8e-7, GOLD, GOLD), DomainError),
+    (lambda: SphereSystem(1e-7, INF, 8e-7, GOLD, GOLD), DomainError),
+    (lambda: SphereSystem(1e-7, 1e-7, NAN, GOLD, GOLD), DomainError),
+    (lambda: SphereSystem(1e-7, 1e-7, INF, GOLD, GOLD), DomainError),
+    (lambda: QuadratureSpec(tol=NAN), ValueError),
+    (lambda: QuadratureSpec(tol=INF), ValueError),
+])
+def test_non_finite_parameter_rejected_at_construction(build, error):
+    """A NaN or infinite parameter raises where it enters, not as a
+    non-converged or out-of-domain failure deep inside an energy."""
+    with pytest.raises(error, match="finite"):
+        build()

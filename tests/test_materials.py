@@ -62,6 +62,18 @@ class TestEpsImagAxis:
             eps_imag_axis(Plasma(WP), 0.0)
         with pytest.raises(DomainError):
             eps_imag_axis(Plasma(WP), -1e14)
+        for xi in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite"):
+                eps_imag_axis(Drude(WP, GAMMA), xi)
+
+    def test_underflowing_xi_raises_not_minus_inf(self):
+        # (i xi)^2 rounds to +0 here, where eps -> +inf; a silent -inf
+        # would flip the sign
+        with np.errstate(all="ignore"):
+            assert eps_imag_axis(Plasma(WP), 1e-150) == np.inf
+            for m in (Plasma(WP), Drude(WP, 0.0)):
+                with pytest.raises(DomainError, match="not representable"):
+                    eps_imag_axis(m, 1e-300)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -131,9 +143,24 @@ class TestMaterialFromDict:
         assert material_from_dict({"model": "plasma", "omega_p": WP}) == Plasma(WP)
         assert material_from_dict({"model": "constant_eps", "eps": 2.5}) == ConstantEps(2.5)
 
+    @pytest.mark.parametrize("spec, expected", [
+        ({"model": "lorentz", "omega_p": 2e15, "omega_0": 6e15, "gamma": 1e13},
+         Lorentz(2e15, 6e15, 1e13)),
+        ({"model": "dielectric", "eps": 2.5}, ConstantEps(2.5)),
+        ("mirror", PerfectMirror()),
+        ("ideal", PerfectMirror()),
+        ("perfect-mirror", PerfectMirror()),
+        ({"model": "vacuum"}, VACUUM),
+    ])
+    def test_every_config_name(self, spec, expected):
+        got = material_from_dict(spec)
+        assert type(got) is type(expected)
+        assert got == expected
+
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            material_from_dict({"model": "unobtainium"})
+        for spec in ({"model": "unobtainium"}, {"model": 5}, 5, ["drude"]):
+            with pytest.raises(ValueError):
+                material_from_dict(spec)
 
     def test_missing_parameter(self):
         with pytest.raises(ValueError):

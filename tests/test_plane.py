@@ -1,5 +1,5 @@
-"""Plane-plane geometry tests: Fresnel amplitudes, translation factors,
-and the energy per unit area on both frequency axes."""
+"""Plane-plane geometry tests: Fresnel amplitudes, the round trip of the
+gap, and the energy per unit area on both frequency axes."""
 
 import numpy as np
 import pytest
@@ -10,108 +10,110 @@ from casimir.errors import DomainError, NotConverged
 from casimir import plane
 from casimir.materials import VACUUM, ConstantEps, Drude, PerfectMirror, Plasma
 from casimir.plane import (
-    PlaneChannel,
     PlaneSystem,
     _BLOCK,
     _adaptive_panels,
+    _eps_k,
     _frequency_integrals,
+    _fresnel,
     _real_axis_channel_values,
+    _round_trip,
     energy_per_area,
     energy_per_area_real_axis,
-    fresnel_r,
     ideal_energy_per_area,
     lifshitz_integrand,
-    translation_factor,
 )
 
 GOLD = Drude(1.37e16, 5.3e13)
+MIRRORS = PlaneSystem(PerfectMirror(), PerfectMirror(), VACUUM, 1e-6)
+
+
+def fresnel(mat, medium, freq, q, real=False):
+    """(r_TE, r_TM) of ``mat`` seen from ``medium`` at paired arrays of
+    frequencies and transverse momenta."""
+    freq, q_sq = np.asarray(freq, dtype=float), np.asarray(q, dtype=float) ** 2
+    em, km = _eps_k(medium, freq, q_sq, real)
+    return _fresnel(mat, em, km, freq, q_sq, real)
 
 
 class TestFresnel:
     def test_no_contrast(self):
         m = ConstantEps(2.5)
-        for pol in ("TE", "TM"):
-            ch = PlaneChannel(q=1e6, pol=pol, xi=1e15)
-            assert fresnel_r(m, m, ch) == 0
+        xi, q = np.array([1e13, 1e15, 1e17]), np.array([0.0, 1e6, 1e8])
+        for r in fresnel(m, m, xi, q):
+            assert np.all(r == 0)
 
     def test_perfect_mirror(self):
-        for xi, q in ((1e14, 0.0), (1e15, 1e7)):
-            assert fresnel_r(PerfectMirror(), VACUUM, PlaneChannel(q, "TE", xi=xi)) == -1
-            assert fresnel_r(PerfectMirror(), VACUUM, PlaneChannel(q, "TM", xi=xi)) == 1
+        xi, q = np.array([1e14, 1e15]), np.array([0.0, 1e7])
+        for real in (False, True):
+            assert fresnel(PerfectMirror(), VACUUM, xi, q, real) == (-1, 1)
 
     def test_drude_gold_like_oracle(self):
         # oracle: direct arithmetic of the kappa forms
-        xi, q = 1e15, 1e7
+        xi, q = np.array([1e15, 3e13, 2e16]), np.array([1e7, 0.0, 4e7])
         em = 1.0
         ep = 1.0 + GOLD.omega_p**2 / (xi * (xi + GOLD.gamma))
         km = np.sqrt(em * xi**2 / C_LIGHT**2 + q**2)
         kp = np.sqrt(ep * xi**2 / C_LIGHT**2 + q**2)
         rte = (km - kp) / (km + kp)
         rtm = (ep * km - em * kp) / (ep * km + em * kp)
-        assert fresnel_r(GOLD, VACUUM, PlaneChannel(q, "TE", xi=xi)) == pytest.approx(
-            rte, rel=1e-14
-        )
-        assert fresnel_r(GOLD, VACUUM, PlaneChannel(q, "TM", xi=xi)) == pytest.approx(
-            rtm, rel=1e-14
-        )
+        got_te, got_tm = fresnel(GOLD, VACUUM, xi, q)
+        np.testing.assert_allclose(got_te, rte, rtol=1e-14)
+        np.testing.assert_allclose(got_tm, rtm, rtol=1e-14)
 
     def test_modulus_bounded_on_imag_axis(self):
+        xi, qL = np.meshgrid(np.geomspace(1e13, 1e17, 10), [0.0, 1.0, 10.0])
         for mat in (GOLD, Plasma(1.37e16), ConstantEps(5.0)):
-            for xi in np.geomspace(1e13, 1e17, 10):
-                for qL in (0.0, 1.0, 10.0):
-                    ch = PlaneChannel(qL / 1e-6, "TM", xi=xi)
-                    assert abs(fresnel_r(mat, VACUUM, ch)) <= 1 + 1e-12
+            for r in fresnel(mat, VACUUM, xi.ravel(), qL.ravel() / 1e-6):
+                assert np.all(np.abs(r) <= 1 + 1e-12)
 
     def test_perfect_mirror_medium_rejected(self):
         with pytest.raises(DomainError):
             PlaneSystem(GOLD, GOLD, medium=PerfectMirror(), L=1e-6)
         with pytest.raises(DomainError):
-            fresnel_r(GOLD, PerfectMirror(), PlaneChannel(1e6, "TE", xi=1e15))
-
-    def test_channel_validation(self):
-        with pytest.raises(DomainError):
-            PlaneChannel(q=-1.0, pol="TE", xi=1e15)
-        with pytest.raises(DomainError):
-            PlaneChannel(q=0.0, pol="TE")
-        with pytest.raises(DomainError):
-            PlaneChannel(q=0.0, pol="XX", xi=1e15)
+            fresnel(GOLD, PerfectMirror(), [1e15], [1e6], real=True)
 
 
 class TestTranslationFactor:
+    # the translation factor across the gap enters the round trip
+    # x = r1 r2 e^{2 i kz L}; between perfect mirrors r1 r2 = 1 for both
+    # polarizations, so x is the squared factor itself
     def test_perfect_mirror_medium_rejected(self):
-        # no finite permittivity: both axes raise, as fresnel_r does
+        # no finite permittivity: the system is rejected for both axes, and
+        # the real-axis wavevector raises
         with pytest.raises(DomainError):
-            translation_factor(PerfectMirror(), PlaneChannel(1e6, "TE", xi=1e15), 1e-6)
+            PlaneSystem(PerfectMirror(), PerfectMirror(), medium=PerfectMirror())
         with pytest.raises(DomainError):
-            translation_factor(PerfectMirror(), PlaneChannel(1e6, "TE", omega=1e15), 1e-6)
+            _eps_k(PerfectMirror(), np.array([1e15]), np.array([1e12]), real=True)
 
     def test_zero_separation(self):
-        ch = PlaneChannel(1e6, "TE", xi=1e15)
-        assert translation_factor(VACUUM, ch, 0.0) == 1.0
+        # the system needs L > 0: the factor tends to one as L vanishes
+        sys_ = PlaneSystem(PerfectMirror(), PerfectMirror(), VACUUM, 1e-300)
+        for real in (False, True):
+            for x in _round_trip(sys_, np.array([1e15]), np.array([1e12]), real):
+                np.testing.assert_allclose(x, 1.0, rtol=0, atol=1e-290)
 
     def test_vacuum_propagating_unit_modulus(self):
-        w = 1e15
-        ch = PlaneChannel(q=0.5 * w / C_LIGHT, pol="TE", omega=w)
-        t = translation_factor(VACUUM, ch, 1e-6)
-        assert abs(abs(t) - 1) < 1e-12
+        w = np.array([1e14, 1e15, 1e16])
+        for x in _round_trip(MIRRORS, w, (0.5 * w / C_LIGHT) ** 2, real=True):
+            assert np.all(np.abs(np.abs(x) - 1) < 1e-12)
 
     def test_lossy_medium_attenuates(self):
-        # oracle: |exp(i kz L)| with independently computed complex kz
-        w, q, L = 1e15, 2e6, 1e-6
-        ch = PlaneChannel(q, "TE", omega=w)
-        t = translation_factor(GOLD, ch, L)
+        # oracle: exp(2 i kz L) with independently computed complex kz
+        w, q, L = np.array([1e15, 4e15]), np.array([2e6, 3e7]), 1e-6
+        sys_ = PlaneSystem(PerfectMirror(), PerfectMirror(), GOLD, L)
         eps = 1.0 - GOLD.omega_p**2 / (w * (w + 1j * GOLD.gamma))
         kz = np.sqrt(eps * w**2 / C_LIGHT**2 - q**2 + 0j)
-        if kz.imag < 0:
-            kz = -kz
-        assert t == pytest.approx(np.exp(1j * kz * L), rel=1e-13)
-        assert abs(t) < 1.0
+        kz = np.where(kz.imag < 0, -kz, kz)
+        for x in _round_trip(sys_, w, q**2, real=True):
+            np.testing.assert_allclose(x, np.exp(2j * kz * L), rtol=1e-13)
+            assert np.all(np.abs(x) < 1.0)
 
     def test_imag_axis_decay(self):
-        ch = PlaneChannel(1e6, "TM", xi=1e15)
-        t = translation_factor(VACUUM, ch, 1e-6)
-        km = np.sqrt((1e15 / C_LIGHT) ** 2 + 1e6**2)
-        assert t == pytest.approx(np.exp(-km * 1e-6), rel=1e-14)
+        xi, q = np.array([1e15, 1e14]), np.array([1e6, 0.0])
+        km = np.sqrt((xi / C_LIGHT) ** 2 + q**2)
+        for x in _round_trip(MIRRORS, xi, q**2, real=False):
+            np.testing.assert_allclose(x, np.exp(-2 * km * 1e-6), rtol=1e-14)
 
 
 class TestEnergyPerArea:
@@ -149,14 +151,10 @@ class TestEnergyPerArea:
 
     def test_pointwise_reflection_ordering(self):
         # the energy ordering follows from r_drude^2 < r_plasma^2 pointwise
-        plasma = Plasma(GOLD.omega_p)
-        for xi in np.geomspace(1e13, 1e17, 12):
-            for q in (0.0, 1e6, 1e7):
-                for pol in ("TE", "TM"):
-                    ch = PlaneChannel(q, pol, xi=xi)
-                    rd = fresnel_r(GOLD, VACUUM, ch)
-                    rp = fresnel_r(plasma, VACUUM, ch)
-                    assert rd**2 <= rp**2 + 1e-15
+        xi, q = (a.ravel() for a in np.meshgrid(np.geomspace(1e13, 1e17, 12), [0.0, 1e6, 1e7]))
+        for rd, rp in zip(fresnel(GOLD, VACUUM, xi, q),
+                          fresnel(Plasma(GOLD.omega_p), VACUUM, xi, q)):
+            assert np.all(rd**2 <= rp**2 + 1e-15)
 
     def test_negative_and_monotone(self):
         grid = np.geomspace(50e-9, 5e-6, 7)
@@ -192,7 +190,7 @@ class TestEnergyPerArea:
         assert grid == pytest.approx(expected, rel=1e-13)
 
     def test_integrand_matches_scalar_channel_api(self):
-        # the (xi, q) grid against the public per-channel amplitudes
+        # the (xi, q) grid against the amplitudes of each channel alone
         medium = ConstantEps(1.8)
         sys_ = PlaneSystem(GOLD, Plasma(GOLD.omega_p), medium, 200e-9)
         xi = np.array([3e13, 8e14, 2e16])
@@ -200,12 +198,11 @@ class TestEnergyPerArea:
         grid = lifshitz_integrand(sys_, xi, q)
         for i, x in enumerate(xi):
             for j, k in enumerate(q):
+                km = np.sqrt(1.8 * (x / C_LIGHT) ** 2 + k**2)
+                t = np.exp(-km * sys_.L)
                 expected = 0.0
-                for pol in ("TE", "TM"):
-                    ch = PlaneChannel(k, pol, xi=x)
-                    r1 = fresnel_r(sys_.mat1, medium, ch)
-                    r2 = fresnel_r(sys_.mat2, medium, ch)
-                    t = translation_factor(medium, ch, sys_.L)
+                r1s, r2s = fresnel(sys_.mat1, medium, x, k), fresnel(sys_.mat2, medium, x, k)
+                for r1, r2 in zip(r1s, r2s):
                     expected += np.log1p(-r1 * r2 * t**2)
                 assert grid[i, j] == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
@@ -297,12 +294,12 @@ class TestRealAxis:
             sys_ = PlaneSystem(GOLD, mat2, medium, 200e-9)
             vals = _real_axis_channel_values(sys_, q.ravel(), omega.ravel())
             for k, w, v in zip(q.ravel(), omega.ravel(), vals):
+                eps = 1.0 - medium.omega_p**2 / (w * (w + 1j * medium.gamma))
+                kz = np.sqrt(eps * (w / C_LIGHT) ** 2 - k**2 + 0j)
+                t = np.exp(1j * (-kz if kz.imag < 0 else kz) * sys_.L)
                 expected = 0.0
-                for pol in ("TE", "TM"):
-                    ch = PlaneChannel(k, pol, omega=w)
-                    r1 = fresnel_r(sys_.mat1, medium, ch)
-                    r2 = fresnel_r(sys_.mat2, medium, ch)
-                    t = translation_factor(medium, ch, sys_.L)
+                for r1, r2 in zip(fresnel(sys_.mat1, medium, w, k, real=True),
+                                  fresnel(sys_.mat2, medium, w, k, real=True)):
                     expected += np.log(1 - r1 * r2 * t**2).imag
                 assert v == pytest.approx(expected, abs=1e-13)
 

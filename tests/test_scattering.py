@@ -115,6 +115,14 @@ def compose_chain_by_network_solve(s1, sl, s2):
     return np.stack(cols, axis=1)
 
 
+class TestFromFull:
+    @pytest.mark.parametrize("internal", [[0, 0], [-1], [5], [0, 3]])
+    def test_bad_index_list_rejected(self, internal):
+        # repeated, negative and out-of-range indices of a 3-channel matrix
+        with pytest.raises(ChannelMismatch, match="need distinct indices"):
+            ScatteringMatrix.from_full(random_unitary(3, 1), internal)
+
+
 class TestStar:
     def test_transparent_pass_through(self):
         s1 = haar_scatterer(2, 3, seed=4)
