@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import identities, toy
 from .core import C_LIGHT, HBAR, QuadratureSpec
-from .errors import CasimirError, NotConverged
+from .errors import CasimirError, DomainError, NotContraction, NotConverged
 from .materials import material_from_dict
 from .plane import PlaneSystem, energy_per_area, ideal_energy_per_area
 from .sphere import SphereSystem, sphere_energy
@@ -145,6 +146,15 @@ def cmd_plane(args, cfg):
     )
 
 
+def _config_checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the package rejecting its arguments
+    reported as a config error (exit 2), not as a failure (exit 1)."""
+    try:
+        return build(*args, **kwargs)
+    except (DomainError, NotContraction) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def cmd_sphere(args, cfg):
     sph = cfg.get("sphere", {})
     mat1 = material_from_dict(cfg.get("material1", "perfect_mirror"))
@@ -155,12 +165,12 @@ def cmd_sphere(args, cfg):
     quad = _quad_from(cfg, args)
     # default sweep must respect L > R1 + R2
     lengths = _sweep_from(cfg, default_min=4 * (r1 + r2), default_max=20 * (r1 + r2))
+    systems = {L: _config_checked(SphereSystem, R1=r1, R2=r2, L=L, mat1=mat1, mat2=mat2,
+                                  lmax=lmax)
+               for L in map(float, lengths)}
     return _sweep(
         args, cfg, lengths,
-        lambda L: sphere_energy(SphereSystem(
-            R1=r1, R2=r2, L=L, mat1=mat1, mat2=mat2,
-            lmax=int(lmax) if lmax is not None else None,
-        ), quad),
+        lambda L: sphere_energy(systems[L], quad),
         ["L", "energy", "lmax_used", "error_estimate", "flag"],
         lambda L, res: res.metadata["lmax"],
     )
@@ -180,6 +190,9 @@ def cmd_toy_dos(args, cfg):
         lo, hi = (float(b) for b in band)
     except (TypeError, ValueError):
         raise ValueError(f"toy band must be two numbers [lo, hi] in c/L, got {band!r}") from None
+    if not 0 < L < math.inf:
+        raise ValueError(f"toy L must be finite and > 0, got {L!r}")
+    _config_checked(toy.lossy_mirror, r, t, "right")
     scale = C_LIGHT / L
     res = toy.band_energies(L, r, t, (lo * scale, hi * scale))
     e_phase, e_dos = res["phase_route"], res["dos_route"]

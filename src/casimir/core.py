@@ -11,8 +11,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BranchRisk, NotConverged
+
+# glibc gives each allocation above its mmap threshold a fresh mapping that
+# faults in page by page. The threshold starts at 128 kB and rises to the
+# size of the largest such mapping freed so far. The stacked quadrature
+# passes allocate arrays of 128 kB to a few MB every time, so freeing one
+# 8 MB array here spares a spheres benchmark pass about 25,000 page faults.
+# Importing scipy used to do this as a side effect. Other allocators ignore
+# it.
+np.empty(1 << 20)
 
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
@@ -158,7 +168,7 @@ def gauss_legendre_01(order):
     """Cached Gauss-Legendre nodes and weights mapped to (0, 1)."""
     order = int(order)
     if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = leggauss(order)
         _GL_CACHE[order] = ((x + 1.0) / 2.0, w / 2.0)
     return _GL_CACHE[order]
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from .core import (
     C_LIGHT,
@@ -63,8 +62,10 @@ class SphereSystem:
             raise DomainError(f"L must be finite and > R1 + R2 (no overlap), got {self.L!r}")
         if self.medium != VACUUM:
             raise DomainError("only a vacuum medium is supported for spheres")
-        if self.lmax is not None and self.lmax < 1:
-            raise DomainError("lmax must be >= 1")
+        lmax = self.lmax
+        if lmax is not None and (isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer))
+                                 or lmax < 1):
+            raise DomainError(f"lmax must be an integer >= 1, got {lmax!r}")
 
     @property
     def gap(self):
@@ -77,12 +78,33 @@ class SphereSystem:
 # Bytes of one array of pair coefficients while a block too large to cache
 # is built (``_axial_sums``; four such arrays are alive at a time).
 _PAIR_CHUNK_BYTES = 1 << 18
+# Blocks whose two arrays of pair coefficients take at most
+# _CACHE_BLOCK_BYTES stay cached, at most 32 of them (16 MB); a larger one is
+# rebuilt on every pass.
+_CACHE_BLOCK_BYTES = 1 << 19
 
 
-def _build_axial_coeffs(lmax, m):
-    """lambda-expansion coefficients of the axial translation m-block.
+def _pairs(lmax, m):
+    """(l', l, index, sign) of the m-block: the orders of its pairs l' <= l
+    as two 1-d arrays, and for each entry [l', l] of the (n, n) block the
+    index of its pair and the reciprocity sign, (-1)^(l + l') below the
+    diagonal and 1 on and above it (see ``_pair_coeffs``)."""
+    lmin = max(1, abs(m))
+    if lmin > lmax:
+        raise DomainError("|m| must not exceed lmax")
+    ls = np.arange(lmin, lmax + 1)
+    iu, ju = np.triu_indices(ls.size)
+    index = np.empty((ls.size, ls.size), dtype=np.intp)
+    index[iu, ju] = index[ju, iu] = np.arange(iu.size)
+    i, j = np.indices(index.shape)
+    sign = np.where((i > j) & ((i + j) % 2 == 1), -1.0, 1.0)
+    return ls[iu], ls[ju], index, sign
 
-    Returns (l_min, cA, cC): arrays of shape (n, n, 2*lmax + 2) such that
+
+def _pair_coeffs(lmax, m, lp, l):
+    """lambda-expansion coefficients (cA[l', l], cC[l', l]) of the axial
+    translation m-block for the pairs l' <= l given by the 1-d arrays lp
+    and l: two (pairs, 2 lmax + 2) arrays such that
 
         A[l', l] = sum_lam cA[l', l, lam] k_lam(w)
         C[l', l] = sum_lam cC[l', l, lam] k_lam(w)
@@ -99,36 +121,9 @@ def _build_axial_coeffs(lmax, m):
     with N = (-1)^(l+m) sqrt((2l+1)(2l'+1) / (l(l+1) l'(l'+1))) / pi. The
     first 3j symbol confines cA to even l + l' + lam and cC to odd; the
     mixing block vanishes at m = 0. Apart from the sign of N both are
-    symmetric in l <-> l', so c[l, l'] = (-1)^(l+l') c[l', l] (reciprocity):
-    only the pairs l' <= l are computed (``_pair_coeffs``).
+    symmetric in l <-> l', so c[l, l'] = (-1)^(l+l') c[l', l]
+    (reciprocity), and the pairs l' <= l give the whole block.
     """
-    lmin, ls, iu, ju, parity = _pairs(lmax, m)
-    n = ls.size
-    pair_a, pair_c = _pair_coeffs(lmax, m, ls[iu], ls[ju])
-    cA = np.empty((n, n, pair_a.shape[-1]))
-    cC = np.empty_like(cA)
-    for c, pair in ((cA, pair_a), (cC, pair_c)):
-        c[iu, ju] = pair
-        pair *= parity[:, None]
-        c[ju, iu] = pair
-    return lmin, cA, cC
-
-
-def _pairs(lmax, m):
-    """(l_min, ls, iu, ju, parity) of the m-block: its orders ls, the index
-    pairs iu <= ju of its upper triangle and (-1)^(l + l') on each pair."""
-    lmin = max(1, abs(m))
-    if lmin > lmax:
-        raise DomainError("|m| must not exceed lmax")
-    ls = np.arange(lmin, lmax + 1)
-    iu, ju = np.triu_indices(ls.size)
-    return lmin, ls, iu, ju, np.where((iu + ju) % 2, -1.0, 1.0)
-
-
-def _pair_coeffs(lmax, m, lp, l):
-    """(cA[l', l], cC[l', l]) of ``_build_axial_coeffs`` for the pairs
-    l' <= l given by the 1-d arrays lp and l: two (pairs, 2 lmax + 2)
-    arrays."""
     m = abs(m)
     lam = np.arange(2 * lmax + 2)
     tm = wigner3j(lp, l, None, m, -m, 0)  # (l' l lam; m -m 0)
@@ -149,67 +144,54 @@ def _pair_coeffs(lmax, m, lp, l):
     return cA, cC
 
 
-# Blocks whose two tensors take at most _CACHE_BLOCK_BYTES stay cached, at
-# most 32 of them (16 MB); a larger one is rebuilt on every pass.
-_CACHE_BLOCK_BYTES = 1 << 19
-_axial_coeff_tensors = lru_cache(maxsize=32)(_build_axial_coeffs)
+@lru_cache(maxsize=32)
+def _axial_coeff_tensors(lmax, m):
+    """(cA, cC, pairs): ``_pair_coeffs`` of every pair of the m-block and
+    the block's ``_pairs`` map, cached for a block that fits
+    _CACHE_BLOCK_BYTES (see ``_axial_sums``)."""
+    pairs = _pairs(lmax, m)
+    return (*_pair_coeffs(lmax, m, *pairs[:2]), pairs)
 
 
 def _axial_sums(lmax, m, sk, step):
     """The translation sums sum_lam c[l', l, lam] sk[node, lam] of the
-    m-block at truncation lmax (c: ``_build_axial_coeffs``'s coefficients),
-    for the rows of ``sk``: yields (node slice, A, C) for consecutive slices
-    of ``step`` nodes, A and C as (nodes, n, n) stacks.
+    m-block at truncation lmax (c: ``_pair_coeffs``'s coefficients), for
+    the rows of ``sk``: yields (node slice, A, C) for consecutive slices of
+    ``step`` nodes, A and C as (nodes, n, n) stacks.
 
-    A block whose two tensors fit ``_CACHE_BLOCK_BYTES`` comes from
-    ``_axial_coeff_tensors``'s cache: all m-blocks at lmax 24 take 4.4 MB
-    and every one of them is kept; at lmax 50 only those with n <= 17 are
-    kept (2.9 MB). A larger block is never held whole: its coefficients are
-    built for a few pairs l' <= l at a time, at most _PAIR_CHUNK_BYTES per
-    array, and each such chunk is contracted with all rows of ``sk`` at
-    once. The block then takes 8 nodes n (n + 1) bytes instead of the
-    tensors' 16 n^2 (2 lmax + 2), and a rebuild costs O(n^2 lmax) against
-    a quadrature pass's O(nodes n^3).
+    The sums are taken for the pairs l' <= l only, for all rows of ``sk``
+    at once, and each slice's blocks are gathered from them with the
+    reciprocity signs of ``_pairs``. A block whose pair coefficients fit
+    _CACHE_BLOCK_BYTES comes with its map from ``_axial_coeff_tensors``'s
+    cache: all m-blocks at lmax 24 take 2.5 MB and every one of them is
+    kept; at lmax 50 only those with n <= 24 are kept (4.4 MB). A larger
+    block is never held whole: its map is rebuilt on every pass, its
+    coefficients are built for a few pairs at a time, at most
+    _PAIR_CHUNK_BYTES per array, and each chunk is contracted as it is
+    built. The block then takes 8 nodes n (n + 1) bytes instead of the
+    coefficients' 8 n (n + 1) (2 lmax + 2), and a rebuild costs O(n^2 lmax)
+    against a quadrature pass's O(nodes n^3).
     """
     m = abs(m)
     n = lmax - max(1, m) + 1
     nlam = 2 * lmax + 2
-    slices = [slice(lo, lo + step) for lo in range(0, len(sk), step)]
-    if 16 * n * n * nlam <= _CACHE_BLOCK_BYTES:
-        _, cA, cC = _axial_coeff_tensors(lmax, m)
-        for sl in slices:
-            yield sl, _contract(cA, sk[sl]), _contract(cC, sk[sl])
-        return
-    _, ls, iu, ju, parity = _pairs(lmax, m)
-    sums = np.empty((2, len(sk), iu.size))
-    chunk = max(1, _PAIR_CHUNK_BYTES // (8 * nlam))
-    for lo in range(0, iu.size, chunk):
-        pairs = slice(lo, lo + chunk)
-        for out, coeff in zip(sums, _pair_coeffs(lmax, m, ls[iu[pairs]], ls[ju[pairs]])):
-            out[:, pairs] = _contract(coeff, sk)
-    for sl in slices:
-        a, c = np.empty((2, len(sk[sl]), n, n))
-        for block, pair in ((a, sums[0, sl]), (c, sums[1, sl])):
-            block[:, iu, ju] = pair
-            block[:, ju, iu] = pair * parity
-        yield sl, a, c
-
-
-def _contract(coeff, sk):
-    """sum_lam coeff[..., lam] sk[node, lam] as a (nodes, ...) array.
-
-    Calls BLAS dgemm for any number of nodes (numpy's matmul takes gemv for
-    a single one), so a node's sums are the same bits whichever nodes share
-    its call."""
-    flat = coeff.reshape(-1, coeff.shape[-1])
-    return dgemm(1.0, flat.T, sk.T, trans_a=True).T.reshape((-1,) + coeff.shape[:-1])
-
-
-def _translation_blocks_scaled(lmax, m, w):
-    """(A, C) blocks of the +z translation with the e^w scaling factored
-    out (entries are Sum c_lam sk_lam(w), sk = e^w k)."""
-    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
-    return max(1, abs(m)), a[0], c[0]
+    if 8 * n * (n + 1) * nlam <= _CACHE_BLOCK_BYTES:  # 16 bytes per pair and lam
+        *coeffs, (lp, l, index, sign) = _axial_coeff_tensors(lmax, m)
+        chunks = [(slice(None), coeffs)]
+    else:
+        lp, l, index, sign = _pairs(lmax, m)
+        size = max(1, _PAIR_CHUNK_BYTES // (8 * nlam))
+        chunks = ((sl, _pair_coeffs(lmax, m, lp[sl], l[sl]))
+                  for sl in (slice(lo, lo + size) for lo in range(0, l.size, size)))
+    sums = np.empty((2, len(sk), l.size))
+    for pairs, coeffs in chunks:
+        for out, coeff in zip(sums, coeffs):
+            out[:, pairs] = sk @ coeff.T
+    for lo in range(0, len(sk), step):
+        sl = slice(lo, lo + step)
+        blocks = sums[:, sl][..., index]
+        blocks *= sign
+        yield sl, blocks[0], blocks[1]
 
 
 def translation_block(lmax, m, xi, L, direction=+1):
@@ -224,25 +206,18 @@ def translation_block(lmax, m, xi, L, direction=+1):
     The block depends on m only through |m| (the sign of m flips the
     mixing blocks, a similarity that no determinant ever sees).
     """
-    if L <= 0:
-        raise DomainError("translation distance must be > 0")
-    if xi <= 0:
-        raise DomainError("imaginary frequency must be > 0")
-    if abs(m) > lmax:
-        raise DomainError("|m| must not exceed lmax")
+    if not 0 < L < math.inf:
+        raise DomainError(f"translation distance must be finite and > 0, got {L!r}")
+    if not 0 < xi < math.inf:
+        raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
     w = xi * L / C_LIGHT
-    lmin, a, c = _translation_blocks_scaled(lmax, m, w)
-    block = np.block([[a, c], [c, a]]) * np.exp(-w)
-    return block * _reverse_signs(lmin, lmax) if direction < 0 else block
-
-
-def _reverse_signs(lmin, lmax):
-    """Signs that turn a +z translation block into the -z one:
-    (-1)^(l+l') on the same-polarization blocks, -(-1)^(l+l') on the
-    polarization-mixing ones."""
-    ls = np.arange(lmin, lmax + 1)
-    par = (-1.0) ** (ls[:, None] + ls[None, :])
-    return np.block([[par, -par], [-par, par]])
+    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
+    block = np.block([[a[0], c[0]], [c[0], a[0]]]) * np.exp(-w)
+    if direction < 0:
+        par = (-1.0) ** np.arange(max(1, abs(m)), lmax + 1)
+        d = np.concatenate([par, -par])
+        block *= np.outer(d, d)
+    return block
 
 
 def _mie_scaled(mat, R, xi, lmax, events=None):
@@ -291,10 +266,10 @@ def mie_amplitudes(mat, R, xi, l):
     """
     if l < 1:
         raise DomainError("multipole order must be >= 1")
-    if xi <= 0:
-        raise DomainError("imaginary frequency must be > 0")
-    if R <= 0:
-        raise DomainError("radius must be > 0")
+    if not 0 < xi < math.inf:
+        raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
+    if not 0 < R < math.inf:
+        raise DomainError(f"radius must be finite and > 0, got {R!r}")
     a, b = _mie_scaled(mat, R, xi, l)
     x = xi * R / C_LIGHT
     grow = np.exp(2.0 * x)

@@ -1,10 +1,15 @@
 """Command-line interface tests: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casimir
 from casimir import identities
 from casimir.cli import main
 from casimir.core import QuadratureSpec
@@ -14,6 +19,17 @@ from casimir.sphere import SphereSystem, sphere_energy
 
 def run_cli(argv):
     return main(argv)
+
+
+def test_import_needs_no_scipy():
+    # scipy is only a test oracle; numpy's polynomial module loads with the
+    # package, not on its first use inside a timed call
+    code = ("import sys, casimir, casimir.cli, casimir.toy; "
+            "print(sorted(m for m in ('scipy', 'numpy.polynomial') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(casimir.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "['numpy.polynomial']"
 
 
 class TestVerify:
@@ -249,6 +265,19 @@ class TestPlane:
 
 
 class TestSphere:
+    @pytest.mark.parametrize("config,flags,message", [
+        ({"sphere": {"R1": 0}}, [], "radii must be finite and > 0"),
+        ({}, ["--lmax", "0"], "lmax must be an integer >= 1"),
+        ({"sphere": {"lmax": 2.5}}, [], "lmax must be an integer >= 1"),
+    ], ids=["R1=0", "lmax=0", "config-lmax=2.5"])
+    def test_bad_geometry_is_config_error(self, config, flags, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["sphere", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1
+
     def test_sweep_with_fixed_lmax(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -345,6 +374,18 @@ class TestOptions:
 
 
 class TestToyDos:
+    @pytest.mark.parametrize("toy,message", [
+        ({"L": 0}, "toy L must be finite and > 0"),
+        ({"r": 1.5}, "is not passive"),
+    ], ids=["L=0", "r=1.5"])
+    def test_bad_cavity_is_config_error(self, toy, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"toy": toy}))
+        assert run_cli(["toy-dos", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("band", [[1.0], "ab", 3, [0.5, "x"]])
     def test_malformed_band_is_config_error(self, band, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

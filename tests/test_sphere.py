@@ -11,14 +11,23 @@ from casimir.errors import DomainError, NotConverged
 from casimir.materials import ConstantEps, Drude, PerfectMirror
 from casimir.sphere import (
     SphereSystem,
+    _axial_sums,
     _round_trip_logdet_sum,
     mie_amplitudes,
     sphere_energy,
     translation_block,
     wigner3j,
 )
+from casimir.spherical_bessel import sk_array
 
 PEC = PerfectMirror()
+
+
+def _scaled_blocks(lmax, m, w):
+    """(l_min, A, C) of the +z translation m-block at w = xi L / c with
+    the e^{-w} decay factored out, from the package's translation sums."""
+    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
+    return max(1, abs(m)), a[0], c[0]
 
 
 class TestWigner3j:
@@ -109,6 +118,13 @@ class TestMieAmplitudes:
             mie_amplitudes(PEC, 1e-7, 1e15, 0)
         with pytest.raises(DomainError):
             mie_amplitudes(PEC, 1e-7, -1e15, 1)
+
+    @pytest.mark.parametrize("R,xi", [(1e-7, np.nan), (1e-7, np.inf), (np.nan, 1e15),
+                                      (np.inf, 1e15)])
+    def test_non_finite_inputs_raise(self, R, xi):
+        for mat in (PEC, ConstantEps(4.0)):
+            with pytest.raises(DomainError):
+                mie_amplitudes(mat, R, xi, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +239,9 @@ class TestTranslationBlock:
             translation_block(2, 3, 1e15, 1e-6)
         with pytest.raises(DomainError):
             translation_block(2, 1, 1e15, -1e-6)
+        for xi, L in [(np.nan, 1e-6), (np.inf, 1e-6), (1e15, np.nan), (1e15, np.inf)]:
+            with pytest.raises(DomainError):
+                translation_block(2, 1, xi, L)
 
 
 class TestSphereEnergy:
@@ -281,7 +300,7 @@ class TestSphereEnergy:
     def test_m_block_decomposition(self):
         # total log-det equals the log-det of the assembled block-diagonal
         # matrix over all m in [-lmax, lmax] at lmax = 2
-        from casimir.sphere import _mie_scaled, _translation_blocks_scaled
+        from casimir.sphere import _mie_scaled
         import scipy.linalg
 
         sys_ = SphereSystem(1e-7, 1.5e-7, 1.1e-6, PEC, PEC, lmax=2)
@@ -296,7 +315,7 @@ class TestSphereEnergy:
         damp = np.exp(2 * (x1 + x2 - w))
         blocks = []
         for m in range(-lmax, lmax + 1):
-            lmin, a12, c12 = _translation_blocks_scaled(lmax, abs(m), w)
+            lmin, a12, c12 = _scaled_blocks(lmax, m, w)
             if m < 0:
                 c12 = -c12  # -m flips the polarization-mixing sign
             sl = slice(lmin - 1, lmax)
@@ -340,6 +359,16 @@ class TestSphereEnergy:
         with pytest.raises(DomainError):
             SphereSystem(1e-7, 1e-7, 1e-6, PEC, PEC, medium=ConstantEps(2.0))
 
+    @pytest.mark.parametrize("lmax", [2.5, 3.0, True, "3", 0, np.int64(0)])
+    def test_lmax_must_be_an_integer(self, lmax):
+        with pytest.raises(DomainError):
+            SphereSystem(1e-7, 1e-7, 1e-6, PEC, PEC, lmax=lmax)
+
+    def test_numpy_integer_lmax(self):
+        sys_ = SphereSystem(1e-7, 1e-7, 1e-6, PEC, PEC, lmax=np.int64(2))
+        res = sphere_energy(sys_, QuadratureSpec(base_order=16, tol=1e-4), adaptive_lmax=False)
+        assert res.value < 0 and res.metadata["lmax"] == 2
+
 
 class TestRescaledRoundTrip:
     """The energy loop takes log det(1 - N), N = diag(s_q) G diag(s_p) G^T,
@@ -365,7 +394,7 @@ class TestRescaledRoundTrip:
         SphereSystem(1.5e-7, 1e-7, 3.2e-7, ConstantEps(4.0), ConstantEps(9.0)),
     ], ids=["pec", "drude", "unequal-eps"])
     def test_log_det_equals_that_of_the_round_trip(self, sys_):
-        from casimir.sphere import _mie_scaled, _translation_blocks_scaled
+        from casimir.sphere import _mie_scaled
 
         lmax = 8
         for w in (0.3, 1.0, 3.0, 10.0, 30.0):
@@ -375,7 +404,7 @@ class TestRescaledRoundTrip:
             damp = np.exp(2 * xi * (sys_.R1 + sys_.R2 - sys_.L) / C_LIGHT)
             want = 0.0
             for m in range(-lmax, lmax + 1):
-                lmin, a12, c12 = _translation_blocks_scaled(lmax, abs(m), w)
+                lmin, a12, c12 = _scaled_blocks(lmax, m, w)
                 sl = slice(lmin - 1, lmax)
                 r1 = np.concatenate([a1[sl], b1[sl]])
                 r2 = np.concatenate([a2[sl], b2[sl]])

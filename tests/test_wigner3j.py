@@ -15,7 +15,8 @@ from casimir.sphere import (
     SphereSystem,
     _axial_coeff_tensors,
     _axial_sums,
-    _build_axial_coeffs,
+    _pair_coeffs,
+    _pairs,
     _round_trip_logdet_sum,
     wigner3j,
 )
@@ -127,10 +128,25 @@ def _loop_coefficients(lmax, m):
     return lmin, cA, cC
 
 
+def _full_tensors(lmax, m, pairs):
+    """(l_min, cA, cC) as (n, n, 2 lmax + 2) tensors from the coefficients
+    (cA, cC) of the pairs l' <= l, filled in entry by entry with the
+    reciprocity c[l, l'] = (-1)^(l + l') c[l', l]."""
+    lps, ls, _, _ = _pairs(lmax, m)
+    lmin = max(1, m)
+    n = lmax - lmin + 1
+    full = np.zeros((2, n, n, 2 * lmax + 2))
+    for k, (lp, l) in enumerate(zip(lps, ls)):
+        for tensor, pair in zip(full, pairs):
+            tensor[lp - lmin, l - lmin] = pair[k]
+            tensor[l - lmin, lp - lmin] = (-1) ** (l + lp) * pair[k]
+    return lmin, full[0], full[1]
+
+
 @pytest.mark.parametrize("lmax", range(1, 7))
 def test_coefficients_match_loop_with_exact_3j(lmax):
     for m in range(lmax + 1):
-        lmin, cA, cC = _axial_coeff_tensors(lmax, m)
+        lmin, cA, cC = _full_tensors(lmax, m, _axial_coeff_tensors(lmax, m)[:2])
         want_lmin, want_a, want_c = _loop_coefficients(lmax, m)
         assert lmin == want_lmin
         scale = max(np.abs(want_a).max(), np.abs(want_c).max())
@@ -139,7 +155,8 @@ def test_coefficients_match_loop_with_exact_3j(lmax):
 
 
 def test_cache_keeps_few_bytes_after_lmax_50():
-    # all 51 m-blocks at lmax 50 take 74 MB; the cache must not keep them
+    # the pair coefficients of all 51 m-blocks at lmax 50 take 38 MB; the
+    # cache must not keep them
     _axial_coeff_tensors.cache_clear()
     pec = PerfectMirror()
     sys_ = SphereSystem(R1=1e-7, R2=1e-7, L=2.2e-7, mat1=pec, mat2=pec)
@@ -155,19 +172,23 @@ def test_cache_keeps_few_bytes_after_lmax_50():
 
 @pytest.mark.parametrize("m", [0, 1, 7])
 def test_large_block_sums_match_its_tensors(m):
-    # lmax 30: every block with n >= 22 is too large to cache and is
-    # contracted chunk by chunk while it is built
-    sk = sk_array(61, np.array([0.5, 2.0, 9.0]))
-    _, cA, cC = _build_axial_coeffs(30, m)
-    assert 16 * cA[..., 0].size * cA.shape[-1] > 2**19
-    for sl, a, c in _axial_sums(30, m, sk, 2):
-        for got, coeff in ((a, cA), (c, cC)):
-            want = np.einsum("ijl,kl->kij", coeff, sk[sl])
-            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # lmax 40: every block with n >= 28 is too large to cache and is
+    # contracted chunk by chunk while it is built; at lmax 12 every block
+    # comes from the cache
+    for lmax, cached in ((40, False), (12, True)):
+        sk = sk_array(2 * lmax + 1, np.array([0.5, 2.0, 9.0]))
+        lps, ls, _, _ = _pairs(lmax, m)
+        pairs = _pair_coeffs(lmax, m, lps, ls)
+        assert (16 * pairs[0].size <= 2**19) == cached
+        _, cA, cC = _full_tensors(lmax, m, pairs)
+        for sl, a, c in _axial_sums(lmax, m, sk, 2):
+            for got, coeff in ((a, cA), (c, cC)):
+                want = np.einsum("ijl,kl->kij", coeff, sk[sl])
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_large_block_never_holds_its_tensors():
-    # the two tensors of the lmax-100 m = 0 block take 32 MB
+    # the pair coefficients of the lmax-100 m = 0 block take 16 MB
     sk = sk_array(201, np.array([6.0, 30.0]))
     tracemalloc.start()
     try:
