@@ -9,8 +9,6 @@ inputs instead of wrapping them in a class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotContraction, NotUnitary, SingularBlock, SingularMatrix
@@ -112,58 +110,26 @@ def inv(a, err=SingularBlock):
     return solve(a, np.eye(a.shape[-1], dtype=complex), err=err)
 
 
-@dataclass(frozen=True)
-class Block2x2:
-    """2x2 block matrix [[A, B], [C, D]] with square A and D, or a stack of
-    them whose four blocks share their leading batch axes."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    def __post_init__(self):
-        for name in "ABCD":
-            object.__setattr__(self, name, as_complex_matrix(getattr(self, name), name))
-        a, b, c, d = self.A.shape, self.B.shape, self.C.shape, self.D.shape
-        batch, na, nd = a[:-2], a[-1], d[-1]
-        if a != batch + (na, na) or d != batch + (nd, nd):
-            raise ValueError("blocks A and D must be square, with equal batch axes")
-        if b != batch + (na, nd) or c != batch + (nd, na):
-            raise ValueError("blocks B and C not conformable with A and D")
-
-    @property
-    def n_a(self):
-        return self.A.shape[-1]
-
-    @property
-    def n_d(self):
-        return self.D.shape[-1]
-
-    def assemble(self):
-        """Full (n_a + n_d) square matrix (stack)."""
-        return np.block([[self.A, self.B], [self.C, self.D]])
-
-    @classmethod
-    def split(cls, m, n_a):
-        """Partition a square matrix (stack) with an n_a x n_a upper-left block."""
-        m = as_complex_matrix(m)
-        return cls(m[..., :n_a, :n_a], m[..., :n_a, n_a:], m[..., n_a:, :n_a], m[..., n_a:, n_a:])
+def split(m, n_a):
+    """The blocks (A, B, C, D) of [[A, B], [C, D]], views of a square
+    matrix (stack) with an n_a x n_a upper-left block A."""
+    m = as_complex_matrix(m)
+    if m.shape[-2] != m.shape[-1] or not 0 < n_a < m.shape[-1]:
+        raise ValueError(f"cannot split shape {m.shape} after {n_a} rows and columns")
+    return m[..., :n_a, :n_a], m[..., :n_a, n_a:], m[..., n_a:, :n_a], m[..., n_a:, n_a:]
 
 
-def schur_complement(m: Block2x2, which="A"):
-    """Schur complement M/A = D - C A^-1 B or M/D = A - B D^-1 C.
+def schur_complement(m, n_a, which="A"):
+    """Schur complement M/A = D - C A^-1 B or M/D = A - B D^-1 C of the
+    square matrix (stack) m split after n_a rows and columns (``split``).
 
-    Parameters
-    ----------
-    m : Block2x2
-    which : {'A', 'D'}
-        Block to complement against (the one inverted).
+    ``which`` names the block complemented against (the one inverted).
     """
+    a, b, c, d = split(m, n_a)
     if which == "A":
-        return m.D - m.C @ solve(m.A, m.B)
+        return d - c @ solve(a, b)
     if which == "D":
-        return m.A - m.B @ solve(m.D, m.C)
+        return a - b @ solve(d, c)
     raise ValueError("which must be 'A' or 'D'")
 
 
@@ -183,8 +149,9 @@ def matrix_det_lemma_residual(a, b, d, c):
     return batch_free(np.abs(1 - np.exp(rhs - lhs)))
 
 
-def unitary_block_relations(m: Block2x2):
-    """Check the two block identities satisfied by a unitary [[A,B],[C,D]].
+def unitary_block_relations(m, n_a):
+    """Check the two block identities satisfied by a unitary [[A,B],[C,D]],
+    the square matrix (stack) m split after n_a rows and columns.
 
     Returns a dict (of per-member arrays for a stack) with
 
@@ -194,19 +161,16 @@ def unitary_block_relations(m: Block2x2):
     Raises
     ------
     NotUnitary
-        If the assembled matrix (any member) is not unitary.
+        If m (any member) is not unitary.
     SingularBlock
         If A or D is singular.
     """
-    full = m.assemble()
-    require_unitary(full, name="assembled block matrix")
-    ld_m = logdet(full)
-    ld_a = logdet(m.A)
-    ld_d = logdet(m.D)
+    a, b, c, d = split(m, n_a)
+    require_unitary(m, name="block matrix")
     # det(A^dag) = conj(det A)
-    det_ratio_residual = np.abs(np.exp(ld_m) - np.exp(ld_d - np.conj(ld_a)))
-    lhs = m.B @ solve(m.D, m.C)
-    rhs = m.A - inv(m.A).swapaxes(-1, -2).conj()
+    det_ratio_residual = np.abs(np.exp(logdet(m)) - np.exp(logdet(d) - np.conj(logdet(a))))
+    lhs = b @ solve(d, c)
+    rhs = a - inv(a).swapaxes(-1, -2).conj()
     return {
         "det_ratio_residual": batch_free(det_ratio_residual),
         "offdiag_residual": batch_free(np.abs(lhs - rhs).max(axis=(-2, -1))),

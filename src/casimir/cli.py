@@ -57,8 +57,9 @@ def _sweep_from(cfg, default_min=1e-7, default_max=1e-6):
     lmax = float(sw.get("L_max", default_max))
     points = int(sw.get("points", 5))
     spacing = sw.get("spacing", "log")
-    if lmin <= 0 or lmax <= lmin and points > 1:
-        raise ValueError("sweep bounds must satisfy 0 < L_min < L_max")
+    if not (0 < lmin < math.inf and math.isfinite(lmax)) or lmax <= lmin and points > 1:
+        raise ValueError(f"sweep bounds must be finite with 0 < L_min < L_max, "
+                         f"got {lmin!r}, {lmax!r}")
     if points < 1:
         raise ValueError("sweep needs at least one point")
     if points == 1:
@@ -138,9 +139,11 @@ def cmd_plane(args, cfg):
     mat2 = material_from_dict(cfg.get("material2", "perfect_mirror"))
     medium = material_from_dict(cfg.get("medium", "vacuum"))
     quad = _quad_from(cfg, args)
+    lengths = _sweep_from(cfg)
+    systems = {L: _config_checked(PlaneSystem, mat1, mat2, medium, L) for L in map(float, lengths)}
     return _sweep(
-        args, cfg, _sweep_from(cfg),
-        lambda L: energy_per_area(PlaneSystem(mat1, mat2, medium, L), quad),
+        args, cfg, lengths,
+        lambda L: energy_per_area(systems[L], quad),
         ["L", "energy_per_area", "ratio_to_ideal", "error_estimate", "flag"],
         lambda L, res: res.value / float(ideal_energy_per_area(L)),
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .blockmat import worst_member
 from .errors import BranchRisk, NotConverged
 
 # glibc gives each allocation above its mmap threshold a fresh mapping that
@@ -103,13 +104,9 @@ def log_det_one_minus(m):
         lam = np.linalg.eigvals(m if eig.all() else m[eig]).astype(complex, copy=False)
         rho = np.zeros(len(m))
         rho[eig] = np.max(np.abs(lam), axis=-1)
-        worst = int(np.argmax(rho))
-        if rho[worst] >= _BRANCH_RHO:
-            where = ""
-            if shape:
-                index = tuple(int(i) for i in np.unravel_index(worst, shape))
-                where = f" (matrix {index[0] if len(index) == 1 else index} of the stack)"
-            raise BranchRisk(f"spectral radius {rho[worst]:.12f} >= 1{where}")
+        if rho.max() >= _BRANCH_RHO:
+            raise BranchRisk(f"spectral radius {rho.max():.12f} >= 1"
+                             f"{worst_member(rho.reshape(shape))}")
         # log(1 + z), z = -lambda: for |z| < 0.5 the modulus comes from
         # log1p, not from rounding 1 + z, to keep its relative precision for
         # tiny |z|; elsewhere from |1 + z|, exact near z = -1 where log1p's

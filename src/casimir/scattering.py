@@ -20,6 +20,7 @@ each check applied to every matrix; a single matrix is the batch-free case.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,46 +32,44 @@ from .errors import BranchJump, ChannelMismatch, ResonantSingular
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """Block form [[ii, ie], [ei, ee]] of a scatterer with n_int internal
-    and n_ext external channels, or of a stack of such scatterers whose
-    four blocks share their leading batch axes."""
+    """A scatterer's square matrix over all its channels, internal ones
+    first, or a stack (..., n, n) of them: n_int internal and n_ext =
+    n - n_int external channels. The blocks [[ii, ie], [ei, ee]] are views
+    of ``full``."""
 
-    ii: np.ndarray
-    ie: np.ndarray
-    ei: np.ndarray
-    ee: np.ndarray
+    full: np.ndarray
+    n_int: int
 
     def __post_init__(self):
-        ii = np.atleast_2d(np.asarray(self.ii, dtype=complex))
-        ie = np.atleast_2d(np.asarray(self.ie, dtype=complex))
-        ei = np.atleast_2d(np.asarray(self.ei, dtype=complex))
-        ee = np.atleast_2d(np.asarray(self.ee, dtype=complex))
-        batch, n_int, n_ext = ee.shape[:-2], ii.shape[-1], ee.shape[-1]
-        if ii.shape != batch + (n_int, n_int) or ee.shape[-2] != n_ext:
-            raise ChannelMismatch("ii and ee blocks must be square, with equal batch axes")
-        if ie.shape != batch + (n_int, n_ext) or ei.shape != batch + (n_ext, n_int):
-            raise ChannelMismatch(
-                f"coupling blocks have shapes {ie.shape}, {ei.shape}; "
-                f"expected {batch + (n_int, n_ext)}, {batch + (n_ext, n_int)}"
-            )
-        if n_int + n_ext < 1:
-            raise ChannelMismatch("at least one channel required")
-        for name, b in (("ii", ii), ("ie", ie), ("ei", ei), ("ee", ee)):
-            if b.size and not np.isfinite(b).all():
-                raise ValueError(f"block {name} contains non-finite entries")
-            object.__setattr__(self, name, b)
-
-    @property
-    def n_int(self):
-        return self.ii.shape[-1]
+        full = as_complex_matrix(self.full, "scattering matrix")
+        n = full.shape[-1]
+        if full.shape[-2] != n:
+            raise ChannelMismatch(f"scattering matrix must be square, got shape {full.shape}")
+        k = operator.index(self.n_int)
+        if not 0 <= k <= n:
+            raise ChannelMismatch(f"internal channel count {k} outside [0, {n}]")
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "n_int", k)
 
     @property
     def n_ext(self):
-        return self.ee.shape[-1]
+        return self.full.shape[-1] - self.n_int
 
-    def assemble(self):
-        """Full (n_int + n_ext) square matrix, internal channels first."""
-        return np.block([[self.ii, self.ie], [self.ei, self.ee]])
+    @property
+    def ii(self):
+        return self.full[..., :self.n_int, :self.n_int]
+
+    @property
+    def ie(self):
+        return self.full[..., :self.n_int, self.n_int:]
+
+    @property
+    def ei(self):
+        return self.full[..., self.n_int:, :self.n_int]
+
+    @property
+    def ee(self):
+        return self.full[..., self.n_int:, self.n_int:]
 
     @classmethod
     def from_full(cls, full, internal):
@@ -85,29 +84,21 @@ class ScatteringMatrix:
             explicit list of channel indices to treat as internal (the
             matrix is permuted so those come first, in the given order).
         """
-        full = as_complex_matrix(full)
-        n = full.shape[-1]
-        if full.shape[-2] != n:
-            raise ChannelMismatch("full scattering matrix must be square")
         if np.isscalar(internal):
-            k = int(internal)
-        else:
-            idx = list(internal)
-            if len(set(idx)) != len(idx) or not all(0 <= j < n for j in idx):
-                raise ChannelMismatch(f"internal channels {idx}: need distinct indices < {n}")
-            rest = [j for j in range(n) if j not in idx]
-            order = idx + rest
-            full = full[(..., *np.ix_(order, order))]
-            k = len(idx)
-        if not 0 <= k <= n:
-            raise ChannelMismatch("internal channel count out of range")
-        return cls(full[..., :k, :k], full[..., :k, k:], full[..., k:, :k], full[..., k:, k:])
+            return cls(full, int(internal))
+        full = as_complex_matrix(full, "scattering matrix")
+        n = full.shape[-1]
+        idx = list(internal)
+        if len(set(idx)) != len(idx) or not all(0 <= j < n for j in idx):
+            raise ChannelMismatch(f"internal channels {idx}: need distinct indices < {n}")
+        order = idx + [j for j in range(n) if j not in idx]
+        return cls(full[(..., *np.ix_(order, order))], len(idx))
 
     def unitarity_defect(self):
-        return blockmat.unitarity_defect(self.assemble())
+        return blockmat.unitarity_defect(self.full)
 
     def require_unitary(self, name="scattering matrix"):
-        blockmat.require_unitary(self.assemble(), name=name)
+        blockmat.require_unitary(self.full, name=name)
 
 
 @dataclass(frozen=True)
@@ -177,9 +168,7 @@ def star(s1: ScatteringMatrix, s2: ScatteringMatrix):
     s12 = s1.ei @ rt.D12 @ s2.ie
     s21 = s2.ei @ rt.D21 @ s1.ie
     s22 = s2.ee + s2.ei @ s1.ii @ rt.D12 @ s2.ie
-    ee = np.block([[s11, s12], [s21, s22]])
-    none = np.zeros(ee.shape[:-2] + (0, ee.shape[-1]))
-    return ScatteringMatrix(none[..., :0], none, none.swapaxes(-1, -2), ee)
+    return ScatteringMatrix(np.block([[s11, s12], [s21, s22]]), 0)
 
 
 def promote_internal(s: ScatteringMatrix, k):
@@ -187,13 +176,11 @@ def promote_internal(s: ScatteringMatrix, k):
 
     Used when chaining: after SL * S2 the channels that faced the previous
     scatterer sit first among the externals and become internal for the
-    next star product. Pure relabeling; the assembled matrix is unchanged.
+    next star product. Pure relabeling: the result shares ``s.full``.
     """
     if s.n_int != 0:
         raise ChannelMismatch("promote_internal expects a fully external matrix")
-    if not 0 <= k <= s.n_ext:
-        raise ChannelMismatch("cannot promote more channels than exist")
-    return ScatteringMatrix.from_full(s.ee, k)
+    return ScatteringMatrix(s.full, k)
 
 
 def translation_scatterer(t):
@@ -232,12 +219,12 @@ def det_composition_residual(s1: ScatteringMatrix, s2: ScatteringMatrix):
     s1.require_unitary(name="S1")
     s2.require_unitary(name="S2")
     composed = star(s1, s2)
-    ld_lhs = logdet(composed.ee)
+    ld_lhs = logdet(composed.full)
     n = s1.n_int
     ld_d21inv = logdet(np.eye(n) - s1.ii @ s2.ii)
     # det(D21)/det(D21)^* is the pure phase exp(-2i Im log det(1 - S1ii S2ii))
     phase = -2j * ld_d21inv.imag
-    ld_rhs = logdet(s1.assemble()) + logdet(s2.assemble()) + phase
+    ld_rhs = logdet(s1.full) + logdet(s2.full) + phase
     sign = -1.0 if n % 2 else 1.0
     return batch_free(np.abs(np.exp(ld_lhs) - sign * np.exp(ld_rhs)))
 
@@ -295,10 +282,9 @@ def chain3_factorization_residual(
     res_mid = det_composition_residual(sl, s2)
 
     # full chain determinant versus the factorized form
-    ld_lhs = logdet(star(s1, promote_internal(star(sl, s2), n)).ee)
+    ld_lhs = logdet(star(s1, promote_internal(star(sl, s2), n)).full)
     ld_d21inv = logdet(np.eye(n) - s1.ii @ t12 @ s2.ii @ t21)
-    ld_rhs = (logdet(s1.assemble()) + logdet(s2.assemble()) + logdet(sl.assemble())
-              - 2j * ld_d21inv.imag)
+    ld_rhs = logdet(s1.full) + logdet(s2.full) + logdet(sl.full) - 2j * ld_d21inv.imag
     res_full = np.abs(np.exp(ld_lhs) - np.exp(ld_rhs))
     return batch_free(np.maximum(res_mid, res_full))
 
@@ -306,7 +292,7 @@ def chain3_factorization_residual(
 def eigenphases(s):
     """Sorted principal eigenphases (..., n) of a unitary matrix or stack,
     from one stacked ``eigvals``; NotUnitary unless each matrix is unitary."""
-    full = s.assemble() if isinstance(s, ScatteringMatrix) else as_complex_matrix(s)
+    full = s.full if isinstance(s, ScatteringMatrix) else as_complex_matrix(s)
     blockmat.require_unitary(full, name="S")
     return np.sort(np.angle(np.linalg.eigvals(full)), axis=-1)
 
@@ -315,7 +301,7 @@ def phase_shift(s):
     """Total scattering phase shift (1/2i) log det S.
 
     Computed as half the sum of the principal arguments of the eigenvalues
-    of the assembled matrix, hence real and defined modulo pi; one per
+    of the full matrix, hence real and defined modulo pi; one per
     matrix of a stack.
     """
     return batch_free(0.5 * np.sum(eigenphases(s), axis=-1))

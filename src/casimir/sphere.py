@@ -205,12 +205,18 @@ def translation_block(lmax, m, xi, L, direction=+1):
 
     The block depends on m only through |m| (the sign of m flips the
     mixing blocks, a similarity that no determinant ever sees).
+
+    Raises DomainError below w = xi L / c = ``_safe_w_floor(lmax)``, where
+    the block's entries overflow.
     """
     if not 0 < L < math.inf:
         raise DomainError(f"translation distance must be finite and > 0, got {L!r}")
     if not 0 < xi < math.inf:
         raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
     w = xi * L / C_LIGHT
+    if w < _safe_w_floor(lmax):
+        raise DomainError(f"xi L / c = {w:.3e} is below {_safe_w_floor(lmax):.3e}, "
+                          f"where the lmax {lmax} translation block overflows")
     _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
     block = np.block([[a[0], c[0]], [c[0], a[0]]]) * np.exp(-w)
     if direction < 0:
@@ -263,6 +269,7 @@ def mie_amplitudes(mat, R, xi, l):
     arguments x = xi R / c and n(i xi) x. The electric amplitude satisfies
     a_1 -> (2/3) x^3 (eps - 1)/(eps + 2) as x -> 0. Note the raw values
     grow like e^{2x}; the energy code uses internally scaled versions.
+    DomainError where they overflow (x beyond about 355).
     """
     if l < 1:
         raise DomainError("multipole order must be >= 1")
@@ -272,8 +279,11 @@ def mie_amplitudes(mat, R, xi, l):
         raise DomainError(f"radius must be finite and > 0, got {R!r}")
     a, b = _mie_scaled(mat, R, xi, l)
     x = xi * R / C_LIGHT
-    grow = np.exp(2.0 * x)
-    return float(a[l - 1] * grow), float(b[l - 1] * grow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = np.array([a[l - 1], b[l - 1]]) * np.exp(2.0 * x)
+    if not np.isfinite(ab).all():
+        raise DomainError(f"Mie amplitudes of order {l} overflow at x = xi R / c = {x:.3e}")
+    return float(ab[0]), float(ab[1])
 
 
 def _safe_w_floor(lmax):

@@ -250,6 +250,18 @@ class TestPlane:
         assert run_cli(["plane", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("config,message", [
+        ({"medium": "perfect_mirror"}, "the medium cannot be a perfect mirror"),
+        ({"sweep": {"L_min": 1e-7, "L_max": float("inf"), "points": 2}},
+         "sweep bounds must be finite"),
+    ], ids=["mirror-medium", "infinite-L_max"])
+    def test_rejected_system_is_config_error(self, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["plane", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and message in err
+
     def test_not_converged_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

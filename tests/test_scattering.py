@@ -122,12 +122,22 @@ class TestFromFull:
         with pytest.raises(ChannelMismatch, match="need distinct indices"):
             ScatteringMatrix.from_full(random_unitary(3, 1), internal)
 
+    def test_non_square_full_rejected(self):
+        with pytest.raises(ChannelMismatch, match=r"square, got shape \(3, 2, 3\)"):
+            ScatteringMatrix(np.ones((3, 2, 3)), 1)
+
+    @pytest.mark.parametrize("n_int", [-1, 4])
+    def test_n_int_out_of_range_rejected(self, n_int):
+        with pytest.raises(ChannelMismatch, match=r"outside \[0, 3\]"):
+            ScatteringMatrix(random_unitary(3, 1), n_int)
+
 
 class TestStar:
     def test_transparent_pass_through(self):
         s1 = haar_scatterer(2, 3, seed=4)
         z, eye = np.zeros((2, 2)), np.eye(2)
-        out = star(s1, ScatteringMatrix(z, eye, eye, z))  # no backscattering
+        # no backscattering
+        out = star(s1, ScatteringMatrix.from_full(np.block([[z, eye], [eye, z]]), 2))
         # blocks of S1 reappear with relabeled external channels
         assert np.allclose(out.ee[:3, :3], s1.ee)
         assert np.allclose(out.ee[:3, 3:], s1.ei)
@@ -174,7 +184,7 @@ class TestStar:
         left = star(s1, promote_internal(star(sl, s2), n))
         # (S1 * SL) * S2: expose SL's left side as internal first
         sl_flip = ScatteringMatrix.from_full(
-            sl.assemble(), list(range(n, 2 * n))
+            sl.full, list(range(n, 2 * n))
         )
         mid = star(s1, sl_flip)
         # mid externals: [S1 ext, side2-of-SL, env]; side2 must become internal
@@ -231,7 +241,7 @@ class TestSylvester:
 class TestDetComposition:
     def test_transparent_pair(self):
         z, eye = np.zeros((2, 2)), np.eye(2)
-        transparent = ScatteringMatrix(z, eye, eye, z)
+        transparent = ScatteringMatrix.from_full(np.block([[z, eye], [eye, z]]), 2)
         res = det_composition_residual(transparent, transparent)
         assert res < 1e-12
 
@@ -417,7 +427,7 @@ def haar_stack(n_int, n_ext, seeds, batch=None):
 
 
 def member(s, i):
-    return ScatteringMatrix(s.ii[i], s.ie[i], s.ei[i], s.ee[i])
+    return ScatteringMatrix(s.full[i], s.n_int)
 
 
 def assert_close(a, b, tol=1e-13):
@@ -426,7 +436,7 @@ def assert_close(a, b, tol=1e-13):
 
 
 class TestStacks:
-    """Blocks with a leading batch axis: every stacked call equals a loop of
+    """Matrices with a leading batch axis: every stacked call equals a loop of
     single calls, and one bad member fails the whole stack."""
 
     def test_from_full_with_index_list(self):
@@ -435,7 +445,7 @@ class TestStacks:
         assert (stacked.n_int, stacked.n_ext) == (2, 3)
         for i in range(4):
             assert np.array_equal(
-                stacked.assemble()[i], ScatteringMatrix.from_full(u[i], [3, 0]).assemble()
+                stacked.full[i], ScatteringMatrix.from_full(u[i], [3, 0]).full
             )
 
     def test_star_of_stacks(self):
@@ -472,14 +482,14 @@ class TestStacks:
         assert (promoted.n_int, promoted.n_ext) == (2, 3)
         for i in range(3):
             single = promote_internal(member(out, i), 2)
-            assert np.array_equal(promoted.assemble()[i], single.assemble())
+            assert np.array_equal(promoted.full[i], single.full)
 
     def test_translation_scatterer(self):
         t = np.stack([random_contraction(2, s) for s in range(6)]).reshape(3, 2, 2, 2)
         sl = translation_scatterer(t)
         assert sl.ee.shape == (3, 2, 6, 6)
         for i in np.ndindex(3, 2):
-            assert_close(sl.assemble()[i], translation_scatterer(t[i]).assemble())
+            assert_close(sl.full[i], translation_scatterer(t[i]).full)
 
     def test_phase_shift_and_matched_increment(self):
         u = np.stack([random_unitary(4, s) for s in range(6)])
@@ -561,14 +571,9 @@ class TestStacks:
 
     def test_non_unitary_member_is_named(self):
         s1 = haar_stack(1, 2, range(4))
-        bad = ScatteringMatrix.from_full(s1.assemble() * np.array([1, 1, 1.001, 1])[:, None, None], 1)
+        bad = ScatteringMatrix.from_full(s1.full * np.array([1, 1, 1.001, 1])[:, None, None], 1)
         with pytest.raises(NotUnitary, match=r"S1 \(matrix 2 of the stack\)"):
             det_composition_residual(bad, s1)
-
-    def test_unequal_batch_shapes_rejected(self):
-        s = haar_stack(1, 1, range(3))
-        with pytest.raises(ChannelMismatch):
-            ScatteringMatrix(s.ii, s.ie[:2], s.ei, s.ee)
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -590,3 +595,27 @@ def test_star_of_haar_stacks_is_stacked_single_stars(n_int, n_ext1, n_ext2, dept
     for i in range(depth):
         assert_close(out.ee[i], star(member(s1, i), member(s2, i)).ee)
     out.require_unitary()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), depth=st.integers(0, 3),
+       seed=st.integers(0, 2**20))
+def test_partition_is_views_of_one_matrix(data, n, depth, seed):
+    u = random_unitary(n, seed if depth == 0 else range(seed, seed + depth))
+    n_int = data.draw(st.integers(0, n), label="n_int")
+    s = ScatteringMatrix(u, n_int)
+    assert (s.n_int, s.n_ext) == (n_int, n - n_int)
+    assert np.array_equal(np.block([[s.ii, s.ie], [s.ei, s.ee]]), u)
+
+    idx = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="idx")
+    order = idx + [j for j in range(n) if j not in idx]
+    permuted = ScatteringMatrix.from_full(u, idx)
+    assert permuted.n_int == len(idx)
+    assert np.array_equal(permuted.full, u[..., order, :][..., order])
+
+    m = data.draw(st.integers(1, 3), label="m")
+    a = haar_stack(m, n, range(seed, seed + max(depth, 1)))
+    b = haar_stack(m, 1, range(seed + 50, seed + 50 + max(depth, 1)))
+    out = star(a, b)
+    k = data.draw(st.integers(0, out.n_ext), label="k")
+    assert promote_internal(out, k).full is out.full

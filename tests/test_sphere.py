@@ -13,6 +13,7 @@ from casimir.sphere import (
     SphereSystem,
     _axial_sums,
     _round_trip_logdet_sum,
+    _safe_w_floor,
     mie_amplitudes,
     sphere_energy,
     translation_block,
@@ -125,6 +126,12 @@ class TestMieAmplitudes:
         for mat in (PEC, ConstantEps(4.0)):
             with pytest.raises(DomainError):
                 mie_amplitudes(mat, R, xi, 1)
+
+    @pytest.mark.parametrize("mat", [PEC, ConstantEps(4.0)])
+    def test_overflowing_amplitudes_raise(self, mat):
+        # the raw amplitudes grow like e^{2x}; x = 3.3e3 is far past a float
+        with pytest.raises(DomainError, match="overflow at x"):
+            mie_amplitudes(mat, 1e-7, 1e19, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +249,15 @@ class TestTranslationBlock:
         for xi, L in [(np.nan, 1e-6), (np.inf, 1e-6), (1e15, np.nan), (1e15, np.inf)]:
             with pytest.raises(DomainError):
                 translation_block(2, 1, xi, L)
+
+    def test_overflow_floor(self):
+        # xi L / c = 3.3e-4 lies below the lmax-30 floor of 1.2e-3, where
+        # the translation sums overflow; just above it the block is finite
+        with pytest.raises(DomainError, match="block overflows"):
+            translation_block(30, 0, 1e12, 1e-7)
+        L = 1e-7
+        xi = _safe_w_floor(30) * (1 + 1e-12) * C_LIGHT / L
+        assert np.isfinite(translation_block(30, 0, xi, L)).all()
 
 
 class TestSphereEnergy:

@@ -62,7 +62,7 @@ class TestStackedCavity:
         for i, w in enumerate(omegas):
             f1, s1 = cavity(w, L, 0.9, 0.3, mirrors)
             assert np.max(np.abs(full.ee[i] - f1.ee)) <= 1e-13
-            assert np.max(np.abs(sl.assemble()[i] - s1.assemble())) <= 1e-13
+            assert np.max(np.abs(sl.full[i] - s1.full)) <= 1e-13
 
     def test_each_cavity_gets_one_eigendecomposition(self, monkeypatch):
         # one cavity stack, decomposed once for the phase profile; the
