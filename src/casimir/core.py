@@ -208,6 +208,12 @@ def refine_order(evaluate, quad: QuadratureSpec, what):
     )
 
 
+def semiinfinite_rule(u, w, scale=1.0):
+    """A rule (u, w) on (0, 1) mapped to (0, inf) by xi = scale * u / (1 - u):
+    the nodes xi and the weights w dxi/du."""
+    return scale * u / (1.0 - u), w * (scale / (1.0 - u) ** 2)
+
+
 def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0):
     """Integrate f over (0, inf) via the map xi = scale * u / (1 - u), with
     the Gauss-Legendre order in u refined by ``refine_order``.
@@ -217,9 +223,8 @@ def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0
     """
 
     def evaluate(u, w):
-        xi = scale * u / (1.0 - u)
-        jac = scale / (1.0 - u) ** 2
-        return float(np.sum(w * jac * np.asarray(f(xi), dtype=float)))
+        xi, weights = semiinfinite_rule(u, w, scale)
+        return float(np.sum(weights * np.asarray(f(xi), dtype=float)))
 
     return refine_order(evaluate, quad, "semi-infinite quadrature")
 
@@ -231,19 +236,24 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
 
     ``integrate(lmax, events)`` returns ``refine_order``'s (value, error,
     history) at truncation ``lmax`` (None for plates) and counts its silent
-    events into the Counter ``events``. Unless ``max_lmax_doublings`` is None,
-    lmax then doubles up to that many times until the energy moves by at most
-    ``lmax_tol`` relative; that last change (inf if none) joins the error.
+    events into the Counter ``events``. Unless ``max_lmax_doublings`` is
+    None, it also returns a fourth item, the nested check (lmax', value'):
+    the same pass's energy at a truncation lmax' < lmax, from the same
+    nodes. A pass converges when |value - value'| <= ``lmax_tol`` |value|;
+    otherwise lmax doubles, up to ``max_lmax_doublings`` times. The last
+    such change (inf if no check ran) joins the error.
 
     Returns
     -------
     EnergyResult
         Its metadata has the same keys on success and on NotConverged:
         ``geometry`` and ``axis`` (with the other ``meta`` entries),
-        ``orders`` of the last quadrature, ``lmax`` (the last one tried)
-        and ``lmax_history`` as (lmax, value) pairs (None and [] for
-        plates), ``events`` (``EVENTS``, as counted by the last
-        ``integrate``) and ``warnings``.
+        ``orders`` of the last quadrature, ``lmax`` (the last one tried),
+        ``lmax_history`` as one (lmax, value) pair per pass and
+        ``lmax_check`` as the last nested check (lmax', value') (None, []
+        and None for plates; ``lmax_check`` is None where no check ran),
+        ``events`` (``EVENTS``, as counted by the last ``integrate``) and
+        ``warnings``.
 
     Raises
     ------
@@ -251,7 +261,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
         If the quadrature or the lmax doubling does not converge; the best
         EnergyResult is attached.
     """
-    lmax_history = []
+    lmax_history, checks = [], []
 
     def result(value, err, history, events, failed=None):
         return EnergyResult(value, err, {
@@ -259,6 +269,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
             "orders": [order for order, _ in history],
             "lmax": lmax_history[-1][0] if lmax_history else None,
             "lmax_history": lmax_history,
+            "lmax_check": checks[-1] if checks else None,
             "events": {name: events[name] for name in EVENTS},
             "warnings": [*warnings, *([f"{failed} not converged"] if failed else [])],
         })
@@ -266,7 +277,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
     def attempt(lm):
         events = Counter()
         try:
-            value, err, history = integrate(lm, events)
+            value, err, history, *check = integrate(lm, events)
             failure = None
         except NotConverged as exc:
             (value, err, history), failure = exc.result, exc
@@ -275,15 +286,17 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
         if failure is not None:
             best = result(value, err, history, events, "quadrature")
             raise NotConverged(str(failure), result=best) from None
+        checks.extend(check)
         return value, err, history, events
 
     value, err, history, events = attempt(lmax)
     if max_lmax_doublings is None:
         return result(value, err, history, events)
     change = np.inf
-    for _ in range(max_lmax_doublings):
-        new_value, err, history, events = attempt(2 * lmax_history[-1][0])
-        change, value = abs(new_value - value), new_value
+    for doubling in range(max_lmax_doublings + 1):
+        if doubling:
+            value, err, history, events = attempt(2 * lmax_history[-1][0])
+        change = abs(value - checks[-1][1])
         if change <= lmax_tol * max(abs(value), 1e-300):
             return result(value, err + change, history, events)
     raise NotConverged(

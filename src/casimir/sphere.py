@@ -24,6 +24,7 @@ combination is what the dipole-asymptote energy test pins down.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,8 +35,10 @@ from .core import (
     HBAR,
     QuadratureSpec,
     energy,
+    gauss_legendre_01,
     integrate_semiinfinite,
     log_det_one_minus,
+    semiinfinite_rule,
 )
 from .errors import DomainError
 from .materials import MaterialModel, Medium, PerfectMirror, VACUUM, eps_imag_axis
@@ -269,7 +272,10 @@ def mie_amplitudes(mat, R, xi, l):
     arguments x = xi R / c and n(i xi) x. The electric amplitude satisfies
     a_1 -> (2/3) x^3 (eps - 1)/(eps + 2) as x -> 0. Note the raw values
     grow like e^{2x}; the energy code uses internally scaled versions.
-    DomainError where they overflow (x beyond about 355).
+    DomainError where they overflow (x beyond about 355), and at x so
+    small that the order-l quotient is not finite or the regular Riccati
+    function of order l at x rounds to zero (x = 1e-20 at l = 1), where
+    the amplitudes would come out as 0.
     """
     if l < 1:
         raise DomainError("multipole order must be >= 1")
@@ -277,8 +283,13 @@ def mie_amplitudes(mat, R, xi, l):
         raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
     if not 0 < R < math.inf:
         raise DomainError(f"radius must be finite and > 0, got {R!r}")
-    a, b = _mie_scaled(mat, R, xi, l)
+    events = Counter()
+    a, b = _mie_scaled(mat, R, xi, l, events)
     x = xi * R / C_LIGHT
+    # a non-finite quotient of a lower order implies one at order l (the
+    # outgoing functions grow and the regular ones shrink with l at small x)
+    if events["mie_zeroed"] or not riccati_si(l, x)[0][l] >= np.finfo(float).tiny:
+        raise DomainError(f"Mie amplitudes of order {l} underflow at x = xi R / c = {x:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
         ab = np.array([a[l - 1], b[l - 1]]) * np.exp(2.0 * x)
     if not np.isfinite(ab).all():
@@ -302,7 +313,14 @@ def _safe_w_floor(lmax):
 _STACK_BYTES = 1 << 19
 
 
-def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
+def _log_det_n(g, s_p, s_q):
+    """log det(1 - N) of a stack of N = diag(s_q) G diag(s_p) G^T."""
+    nn = (g * s_p) @ g.transpose(0, 2, 1)
+    nn *= s_q
+    return log_det_one_minus(nn).real
+
+
+def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None):
     """sum over m of log det(1 - M_m(i xi)) at truncation lmax.
 
     ``xi`` is one frequency (returns a float) or an array of nodes (returns
@@ -312,6 +330,13 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
     When ``events`` (a Counter) is given, it counts the nodes raised to the
     small-w floor ("xi_clamped") and the zeroed Mie amplitudes
     ("mie_zeroed").
+
+    With ``nested`` = lmax' < lmax it returns a pair: the sums at lmax and
+    those at lmax', taken from the rows and columns l <= lmax' (both
+    polarizations) of the same G with the same signs. On nodes above the
+    small-w floor of lmax they equal this function at lmax', because the
+    pair coefficients depend only on (l, l', lam, m) and the Mie amplitudes
+    only on l; lmax' = 0 gives zeros.
     """
     xi = np.asarray(xi, dtype=float)
     nodes = np.atleast_1d(xi)
@@ -331,6 +356,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
     sk = sk_array(2 * lmax + 1, w)
     root_damp = np.sqrt(damp)[:, None]
     total = np.zeros(nodes.size)
+    sub_total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
         lmin = max(1, m)
         n = lmax - lmin + 1
@@ -341,6 +367,12 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
         q = np.concatenate([a1[:, lmin - 1:], -b1[:, lmin - 1:]], axis=1)
         p = np.concatenate([a2[:, lmin - 1:], -b2[:, lmin - 1:]], axis=1)
         row, col = root_damp * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))
+        s_q, s_p = np.sign(q)[:, :, None], np.sign(p)[:, None, :]
+        # the block's k multipoles l <= lmax' of each polarization
+        k = 0 if nested is None else max(0, nested - lmin + 1)
+        if k:
+            keep = np.r_[:k, n:n + k]
+            s_qk, s_pk = s_q[:, keep], s_p[..., keep]
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
         for sl, a12, c12 in _axial_sums(lmax, m, sk, step):
@@ -349,12 +381,17 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None):
             g[:, :n, n:] = g[:, n:, :n] = c12
             g *= row[sl, :, None]
             g *= col[sl, None, :]
-            nn = (g * np.sign(p[sl, None, :])) @ g.transpose(0, 2, 1)
-            nn *= np.sign(q[sl, :, None])
-            total[sl] += weight * log_det_one_minus(nn).real
+            total[sl] += weight * _log_det_n(g, s_p[sl], s_q[sl])
+            if k:
+                gk = g.reshape(-1, 2, n, 2, n)[:, :, :k, :, :k].reshape(-1, 2 * k, 2 * k)
+                sub_total[sl] += weight * _log_det_n(gk, s_pk[sl], s_qk[sl])
             # drop this slice's stacks before the next slice is built
-            a12 = c12 = g = nn = None
-    return float(total[0]) if xi.ndim == 0 else total
+            a12 = c12 = g = gk = None
+
+    def shaped(t):
+        return float(t[0]) if xi.ndim == 0 else t
+
+    return shaped(total) if nested is None else (shaped(total), shaped(sub_total))
 
 
 def sphere_energy(
@@ -371,8 +408,12 @@ def sphere_energy(
     with the round trip M_m = R1 T12 R2 T21 built from the Mie blocks and
     the axial translation blocks truncated at lmax, and xi = c/(2 gap)
     u/(1-u). The truncation order starts at ``sys.lmax`` (or the gap-based
-    default) and doubles until the energy moves by less than ``lmax_tol``
-    relative, unless ``adaptive_lmax`` is off.
+    default). Unless ``adaptive_lmax`` is off, each quadrature pass at lmax
+    also sums the energy at lmax' = min(ceil(3 lmax / 4), lmax - 1) from
+    the same round trips (the l <= lmax' sub-blocks of each G); the pass
+    converges when the two differ by at most ``lmax_tol`` relative, and
+    lmax doubles otherwise, up to ``max_lmax_doublings`` times. That
+    difference joins the error estimate.
 
     Returns and raises as ``core.energy``: value in J (negative for passive
     spheres); ``events`` counts, over the last quadrature pass, the nodes
@@ -380,13 +421,26 @@ def sphere_energy(
     amplitudes set to zero (``mie_zeroed``).
     """
     prefactor = HBAR / (2.0 * np.pi)
+    scale = C_LIGHT / (2.0 * sys.gap)
 
     def integrate(lmax, events):
+        nested = min(math.ceil(0.75 * lmax), lmax - 1) if adaptive_lmax else None
+        sub_values = []
+
         def f(xi):
             events.clear()
-            return prefactor * _round_trip_logdet_sum(sys, xi, lmax, events)
+            out = _round_trip_logdet_sum(sys, xi, lmax, events, nested)
+            if nested is None:
+                return prefactor * out
+            sub_values[:] = [prefactor * out[1]]
+            return prefactor * out[0]
 
-        return integrate_semiinfinite(f, quad, scale=C_LIGHT / (2.0 * sys.gap))
+        value, err, history = integrate_semiinfinite(f, quad, scale=scale)
+        if nested is None:
+            return value, err, history
+        # the last call of f was on the nodes of the last order
+        _, weights = semiinfinite_rule(*gauss_legendre_01(history[-1][0]), scale)
+        return value, err, history, (nested, float(np.sum(weights * sub_values[0])))
 
     return energy(
         integrate,

@@ -1,6 +1,6 @@
-"""The one energy loop, core.energy: lmax doubling, errors, NotConverged,
-and the metadata schema that plane (both axes) and sphere results share on
-success and on failure."""
+"""The one energy loop, core.energy: the nested lmax check, lmax doubling,
+errors, NotConverged, and the metadata schema that plane (both axes) and
+sphere results share on success and on failure."""
 
 import math
 
@@ -16,7 +16,8 @@ GOLD = Drude(1.37e16, 5.3e13)
 PLATES = PlaneSystem(GOLD, GOLD, VACUUM, 200e-9)
 SPHERES = SphereSystem(1e-7, 1e-7, 8e-7, GOLD, GOLD, lmax=2)
 W_MAX = 2 * GOLD.omega_p
-KEYS = {"geometry", "axis", "orders", "lmax", "lmax_history", "events", "warnings"}
+KEYS = {"geometry", "axis", "orders", "lmax", "lmax_history", "lmax_check", "events",
+        "warnings"}
 FAIL = QuadratureSpec(base_order=8, max_doublings=0, tol=1e-14)
 
 # path -> (run(quad), quad that converges, geometry, axis, extra keys)
@@ -56,81 +57,123 @@ def test_metadata_schema(path, converges):
     assert meta["events"]["tol_floored"] == (path == "plane-real" and not converges)
     if geometry == "plane":
         assert meta["lmax"] is None and meta["lmax_history"] == []
+        assert meta["lmax_check"] is None
     else:
         assert meta["lmax"] == meta["lmax_history"][-1][0]
         assert meta["lmax_history"][-1][1] == res.value
+        # a pass that failed its quadrature ran no check
+        if converges:
+            assert meta["lmax_check"][0] < meta["lmax"]
+        else:
+            assert meta["lmax_check"] is None
 
 
 def _fake(values, fail_at=()):
-    """integrate(lmax, events) returning ``values[lmax]`` with error 1e-3,
-    raising the quadrature NotConverged for lmax in ``fail_at``."""
+    """integrate(lmax, events) for ``values[lmax]`` = (value,) or (value,
+    nested value): error 1e-3 and, with a nested value, the check
+    (lmax - 1, nested value); raises the quadrature NotConverged for lmax in
+    ``fail_at``."""
 
     def integrate(lmax, events):
         events["xi_clamped"] += lmax or 1
-        out = (values[lmax], 1e-3, [(8, 0.0), (16, values[lmax])])
+        value, *nested = values[lmax]
+        out = (value, 1e-3, [(8, 0.0), (16, value)])
         if lmax in fail_at:
             raise NotConverged("semi-infinite quadrature not converged", result=out)
-        return out
+        return (*out, (lmax - 1, *nested)) if nested else out
 
     return integrate
 
 
 class TestEnergyLoop:
     def test_plates_run_once(self):
-        res = energy(_fake({None: -2.0}), warnings=["w"], geometry="plane", axis="x")
+        res = energy(_fake({None: (-2.0,)}), warnings=["w"], geometry="plane", axis="x")
         assert (res.value, res.error_estimate) == (-2.0, 1e-3)
         assert res.metadata["warnings"] == ["w"] and res.metadata["orders"] == [8, 16]
         assert res.metadata["events"]["xi_clamped"] == 1
+        assert res.metadata["lmax_check"] is None
+
+    def test_nested_check_passes_in_one_pass(self):
+        res = energy(_fake({4: (-1.5, -1.5005)}), lmax=4, lmax_tol=1e-3,
+                     max_lmax_doublings=3)
+        assert res.value == -1.5
+        assert res.error_estimate == pytest.approx(1e-3 + 5e-4)
+        assert res.metadata["lmax_history"] == [(4, -1.5)]
+        assert res.metadata["lmax_check"] == (3, -1.5005)
 
     def test_lmax_change_added_to_error(self):
-        res = energy(_fake({2: -1.0, 4: -1.5, 8: -1.5005}), lmax=2, lmax_tol=1e-3,
-                     max_lmax_doublings=3)
+        """A failed nested check doubles lmax; the passing check's change
+        joins the error."""
+        res = energy(_fake({2: (-1.0, -0.5), 4: (-1.5, -1.4), 8: (-1.5005, -1.5)}),
+                     lmax=2, lmax_tol=1e-3, max_lmax_doublings=3)
         assert res.value == -1.5005
         assert res.error_estimate == pytest.approx(1e-3 + 5e-4)
         assert res.metadata["lmax_history"] == [(2, -1.0), (4, -1.5), (8, -1.5005)]
+        assert res.metadata["lmax_check"] == (7, -1.5)
         assert res.metadata["lmax"] == 8 and res.metadata["events"]["xi_clamped"] == 8
 
+    def test_lmax_one_checks_against_zero(self):
+        """At lmax 1 the nested truncation is lmax 0, whose energy is 0, so
+        the first pass always doubles."""
+        res = energy(_fake({1: (-1.0, 0.0), 2: (-1.2, -1.1995)}), lmax=1, lmax_tol=1e-3,
+                     max_lmax_doublings=1)
+        assert res.metadata["lmax_history"] == [(1, -1.0), (2, -1.2)]
+        assert res.metadata["lmax_check"] == (1, -1.1995)
+
     def test_no_doubling_when_not_asked(self):
-        res = energy(_fake({3: -1.0}), lmax=3)
+        res = energy(_fake({3: (-1.0,)}), lmax=3)
         assert res.metadata["lmax_history"] == [(3, -1.0)] and res.error_estimate == 1e-3
+        assert res.metadata["lmax_check"] is None
 
     def test_lmax_not_converged(self):
         with pytest.raises(NotConverged, match="multipole truncation") as err:
-            energy(_fake({1: -1.0, 2: -2.0}), lmax=1, lmax_tol=1e-3, max_lmax_doublings=1)
+            energy(_fake({1: (-1.0, 0.0), 2: (-2.0, -1.0)}), lmax=1, lmax_tol=1e-3,
+                   max_lmax_doublings=1)
         res = err.value.result
         assert res.value == -2.0 and res.error_estimate == pytest.approx(1.001)
+        assert res.metadata["lmax_check"] == (1, -1.0)
         assert res.metadata["warnings"] == ["lmax not converged"]
 
     def test_zero_lmax_doublings_is_not_converged(self):
+        """With no doubling allowed the first pass is checked once."""
         with pytest.raises(NotConverged, match="multipole truncation") as err:
-            energy(_fake({1: -1.0}), lmax=1, lmax_tol=1e-3, max_lmax_doublings=0)
+            energy(_fake({1: (-1.0, 0.0)}), lmax=1, lmax_tol=1e-3, max_lmax_doublings=0)
         res = err.value.result
-        assert res.value == -1.0 and res.error_estimate == float("inf")
+        assert res.value == -1.0 and res.error_estimate == pytest.approx(1.001)
         assert res.metadata["warnings"] == ["lmax not converged"]
+        res = energy(_fake({4: (-1.0, -1.0001)}), lmax=4, lmax_tol=1e-3,
+                     max_lmax_doublings=0)
+        assert res.metadata["lmax_history"] == [(4, -1.0)]
 
     def test_negative_lmax_doublings_is_not_converged(self):
         with pytest.raises(NotConverged, match="multipole truncation") as err:
-            energy(_fake({1: -1.0}), lmax=1, max_lmax_doublings=-1)
+            energy(_fake({1: (-1.0, 0.0)}), lmax=1, max_lmax_doublings=-1)
         assert err.value.result.error_estimate == float("inf")
 
     def test_quadrature_failure_at_second_lmax(self):
         with pytest.raises(NotConverged, match="semi-infinite") as err:
-            energy(_fake({1: -1.0, 2: -2.0}, fail_at={2}), lmax=1, lmax_tol=1e-3,
-                   max_lmax_doublings=2)
+            energy(_fake({1: (-1.0, 0.0), 2: (-2.0, -1.9)}, fail_at={2}), lmax=1,
+                   lmax_tol=1e-3, max_lmax_doublings=2)
         res = err.value.result
         assert res.value == -2.0 and res.error_estimate == 1e-3
         assert res.metadata["lmax"] == 2 and res.metadata["lmax_history"][-1] == (2, -2.0)
+        # the last check that ran is the first pass's
+        assert res.metadata["lmax_check"] == (0, 0.0)
         assert res.metadata["warnings"] == ["quadrature not converged"]
 
 
 def test_sphere_adaptive_lmax_without_doublings_is_not_converged():
-    """An adaptive run with no doubling allowed never checks its lmax."""
+    """With no doubling allowed, an adaptive run checks its lmax 2 once,
+    against the nested lmax 1 of the same pass, and that check fails."""
     quad = PATHS["sphere"][1]
     with pytest.raises(NotConverged, match="multipole truncation") as err:
         sphere_energy(SPHERES, quad, max_lmax_doublings=0)
-    assert err.value.result.metadata["warnings"] == ["lmax not converged"]
-    assert sphere_energy(SPHERES, quad, adaptive_lmax=False).metadata["lmax_history"] == [
-        (2, err.value.result.value)]
+    meta = err.value.result.metadata
+    assert meta["warnings"] == ["lmax not converged"]
+    assert meta["lmax_check"][0] == 1
+    fixed = sphere_energy(SPHERES, quad, adaptive_lmax=False).metadata
+    assert fixed["lmax_history"] == [(2, err.value.result.value)]
+    assert fixed["lmax_check"] is None
 
 
 NAN, INF = math.nan, math.inf

@@ -133,6 +133,19 @@ class TestMieAmplitudes:
         with pytest.raises(DomainError, match="overflow at x"):
             mie_amplitudes(mat, 1e-7, 1e19, 1)
 
+    @pytest.mark.parametrize("mat", [PEC, ConstantEps(4.0)])
+    @pytest.mark.parametrize("l", [1, 3])
+    def test_tiny_x_raises_instead_of_zero(self, mat, l):
+        # at x = 1e-20 the true a_1 of a PEC sphere is (2/3) x^3 ~ 6.7e-61,
+        # but the regular Riccati functions round to 0
+        R = 1e-7
+        with pytest.raises(DomainError, match="underflow at x"):
+            mie_amplitudes(mat, R, 1e-20 * C_LIGHT / R, l)
+        x = 1e-10
+        a1, b1 = mie_amplitudes(PEC, R, x * C_LIGHT / R, 1)
+        assert a1 / x**3 == pytest.approx(2 / 3, rel=1e-6)
+        assert b1 / x**3 == pytest.approx(-1 / 3, rel=1e-6)
+
 
 # ---------------------------------------------------------------------------
 # field-level projection oracle for the translation blocks

@@ -80,6 +80,67 @@ class TestBatchedRoundTrip:
         assert np.all(a[1] != 0) and np.all(b[1] != 0)
 
 
+class TestNestedTruncation:
+    """An adaptive pass at lmax checks itself against the energy at
+    lmax' = min(ceil(3 lmax / 4), lmax - 1), taken from the l <= lmax'
+    sub-blocks of its own round trips."""
+
+    @pytest.mark.parametrize("sys_, lmax", [
+        (SphereSystem(1e-7, 1e-7, 3e-7, PEC, PEC), 20),
+        (SphereSystem(1e-7, 1e-7, 2.5e-7, GOLD, GOLD), 16),
+    ], ids=["pec-LR3", "drude-LR2.5"])
+    def test_nested_sum_is_the_sum_at_lmax_prime(self, sys_, lmax):
+        nested = min(int(np.ceil(0.75 * lmax)), lmax - 1)
+        # nodes above the small-w floor of lmax, where both truncations
+        # see the same frequencies
+        w = np.geomspace(1.01 * _safe_w_floor(lmax), 8.0 * sys_.L / sys_.gap, 60)
+        xi = w * C_LIGHT / sys_.L
+        total, sub = _round_trip_logdet_sum(sys_, xi, lmax, nested=nested)
+        np.testing.assert_array_equal(total, _round_trip_logdet_sum(sys_, xi, lmax))
+        np.testing.assert_allclose(sub, _round_trip_logdet_sum(sys_, xi, nested),
+                                   rtol=1e-13, atol=0)
+        assert np.all(sub < 0)
+
+    def test_lmax_prime_zero_is_zero(self):
+        sys_ = SYSTEMS["pec"]
+        total, sub = _round_trip_logdet_sum(sys_, 1e15, 1, nested=0)
+        assert sub == 0.0 and total == _round_trip_logdet_sum(sys_, 1e15, 1) < 0
+
+    def test_close_pair_converges_in_one_pass(self):
+        sys_ = SphereSystem(1e-7, 1e-7, 2.5e-7, PEC, PEC)
+        res = sphere_energy(sys_)
+        meta = res.metadata
+        assert meta["lmax_history"] == [(20, res.value)]
+        lmax_prime, value = meta["lmax_check"]
+        assert lmax_prime == 15
+        assert res.error_estimate >= abs(res.value - value)
+        fixed = sphere_energy(SphereSystem(1e-7, 1e-7, 2.5e-7, PEC, PEC, lmax=24),
+                              adaptive_lmax=False)
+        assert abs(res.value - fixed.value) <= res.error_estimate
+
+    def test_fixed_lmax_computes_no_nested_sums(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[4:])
+            return _round_trip_logdet_sum(*args)
+
+        monkeypatch.setattr(sphere, "_round_trip_logdet_sum", spy)
+        sys_ = SphereSystem(1e-7, 1e-7, 8e-7, GOLD, GOLD, lmax=3)
+        res = sphere_energy(sys_, QuadratureSpec(base_order=16, tol=1e-4),
+                            adaptive_lmax=False)
+        assert res.metadata["lmax_check"] is None
+        assert calls and all(extra in ((), (None,)) for extra in calls)
+
+    @pytest.mark.slow
+    def test_capped_benchmark_pair_converges_in_one_pass(self):
+        """The L/R = 2.2 PEC pair with default settings: one pass at its
+        gap-based lmax 50 (a few seconds)."""
+        res = sphere_energy(SphereSystem(1e-7, 1e-7, 2.2e-7, PEC, PEC))
+        assert [lmax for lmax, _ in res.metadata["lmax_history"]] == [50]
+        assert res.value < 0
+
+
 class TestSphereMetadata:
     """Sphere-specific metadata; the key set of every path is checked in
     tests/test_energy.py."""
