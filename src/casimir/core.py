@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -137,6 +138,10 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("base_order", "max_doublings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.base_order < 8:
             raise ValueError("base_order must be >= 8")
         if not 0 < self.tol < np.inf:
@@ -170,48 +175,33 @@ def gauss_legendre_01(order):
     return _GL_CACHE[order]
 
 
-def refine_order(evaluate, quad: QuadratureSpec, what):
+def refine_order(evaluate, quad: QuadratureSpec):
     """Gauss-Legendre order doubling shared by every order-refined integral.
 
     ``evaluate(u, w)`` integrates with the nodes and weights of
     ``gauss_legendre_01`` at orders ``quad.base_order``, twice that, and so
     on, until two successive values differ by at most ``quad.tol``
-    relative.
+    relative. It may return a 1-d stack of integrals on the same nodes,
+    which is refined until each of them meets the tolerance.
 
     Returns
     -------
-    (value, error_estimate, history)
+    (value, error_estimate, history, converged)
         ``history`` lists (order, value) for each refinement;
-        ``error_estimate`` is the last change.
-
-    Raises
-    ------
-    NotConverged
-        After ``quad.max_doublings`` doublings, naming ``what``; the best
-        (value, error_estimate, history) triple is attached.
+        ``error_estimate`` is the last change (inf after one order).
+        ``converged`` is False, and nothing is raised, when
+        ``quad.max_doublings`` doublings did not meet the tolerance.
     """
     history = []
-    err = np.inf
     order = quad.base_order
     for _ in range(quad.max_doublings + 1):
         value = evaluate(*gauss_legendre_01(order))
+        err = abs(value - history[-1][1]) if history else abs(value) + np.inf
         history.append((order, value))
-        if len(history) > 1:
-            err = abs(value - history[-2][1])
-            if err <= quad.tol * max(abs(value), 1e-300):
-                return value, err, history
+        if len(history) > 1 and np.all(err <= quad.tol * np.maximum(abs(value), 1e-300)):
+            return value, err, history, True
         order *= 2
-    raise NotConverged(
-        f"{what} not converged after {quad.max_doublings} doublings "
-        f"(last change {err:.3e})",
-        result=(value, err, history),
-    )
-
-
-def semiinfinite_rule(u, w, scale=1.0):
-    """A rule (u, w) on (0, 1) mapped to (0, inf) by xi = scale * u / (1 - u):
-    the nodes xi and the weights w dxi/du."""
-    return scale * u / (1.0 - u), w * (scale / (1.0 - u) ** 2)
+    return value, err, history, False
 
 
 def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0):
@@ -219,14 +209,17 @@ def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0
     the Gauss-Legendre order in u refined by ``refine_order``.
 
     ``f`` must accept an ndarray of xi values and return the integrand
-    values elementwise. Returns and raises as ``refine_order``.
+    values elementwise, or a (k, nodes) stack of k integrands on those
+    nodes; each is summed along its last axis. Returns as ``refine_order``:
+    the value is a float, or a (k,) array for a stack.
     """
 
     def evaluate(u, w):
-        xi, weights = semiinfinite_rule(u, w, scale)
-        return float(np.sum(weights * np.asarray(f(xi), dtype=float)))
+        xi, weights = scale * u / (1.0 - u), w * (scale / (1.0 - u) ** 2)
+        total = np.sum(weights * np.asarray(f(xi), dtype=float), axis=-1)
+        return total if total.ndim else float(total)
 
-    return refine_order(evaluate, quad, "semi-infinite quadrature")
+    return refine_order(evaluate, quad)
 
 
 def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
@@ -234,34 +227,35 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
     """Energy of one geometry, E = hbar/(2 pi) int dxi sum log det(1 - M),
     from the function that integrates it at one truncation.
 
-    ``integrate(lmax, events)`` returns ``refine_order``'s (value, error,
-    history) at truncation ``lmax`` (None for plates) and counts its silent
-    events into the Counter ``events``. Unless ``max_lmax_doublings`` is
-    None, it also returns a fourth item, the nested check (lmax', value'):
-    the same pass's energy at a truncation lmax' < lmax, from the same
-    nodes. A pass converges when |value - value'| <= ``lmax_tol`` |value|;
+    ``integrate(lmax, events)`` integrates at truncation ``lmax`` (None for
+    plates), counts its silent events into the Counter ``events`` and
+    returns ``refine_order``'s four items and the nested check (lmax',
+    value'): the same pass's energy at a truncation lmax' < lmax, from the
+    same nodes, or None. Unless ``max_lmax_doublings`` is None, a converged
+    pass is accepted when |value - value'| <= ``lmax_tol`` |value|;
     otherwise lmax doubles, up to ``max_lmax_doublings`` times. The last
     such change (inf if no check ran) joins the error.
 
     Returns
     -------
     EnergyResult
-        Its metadata has the same keys on success and on NotConverged:
-        ``geometry`` and ``axis`` (with the other ``meta`` entries),
-        ``orders`` of the last quadrature, ``lmax`` (the last one tried),
-        ``lmax_history`` as one (lmax, value) pair per pass and
-        ``lmax_check`` as the last nested check (lmax', value') (None, []
-        and None for plates; ``lmax_check`` is None where no check ran),
-        ``events`` (``EVENTS``, as counted by the last ``integrate``) and
-        ``warnings``.
+        Value and error as floats. Its metadata has the same keys on
+        success and on NotConverged: ``geometry`` and ``axis`` (with the
+        other ``meta`` entries), ``orders`` of the last quadrature, ``lmax``
+        (the last one tried), ``lmax_history`` as one (lmax, value) pair per
+        pass and ``lmax_check`` as the last nested check (lmax', value') of
+        a converged pass (None, [] and None for plates; ``lmax_check`` is
+        None where no check ran), ``events`` (``EVENTS``, as counted by the
+        last ``integrate``) and ``warnings``.
 
     Raises
     ------
     NotConverged
-        If the quadrature or the lmax doubling does not converge; the best
-        EnergyResult is attached.
+        If a pass's quadrature or the lmax doubling does not converge; the
+        best EnergyResult is attached. No other function of the package
+        raises it.
     """
-    lmax_history, checks = [], []
+    lmax_history, check = [], None
 
     def result(value, err, history, events, failed=None):
         return EnergyResult(value, err, {
@@ -269,38 +263,32 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
             "orders": [order for order, _ in history],
             "lmax": lmax_history[-1][0] if lmax_history else None,
             "lmax_history": lmax_history,
-            "lmax_check": checks[-1] if checks else None,
+            "lmax_check": check,
             "events": {name: events[name] for name in EVENTS},
             "warnings": [*warnings, *([f"{failed} not converged"] if failed else [])],
         })
 
-    def attempt(lm):
+    for doubling in count():
         events = Counter()
-        try:
-            value, err, history, *check = integrate(lm, events)
-            failure = None
-        except NotConverged as exc:
-            (value, err, history), failure = exc.result, exc
-        if lm is not None:
-            lmax_history.append((lm, value))
-        if failure is not None:
-            best = result(value, err, history, events, "quadrature")
-            raise NotConverged(str(failure), result=best) from None
-        checks.extend(check)
-        return value, err, history, events
-
-    value, err, history, events = attempt(lmax)
-    if max_lmax_doublings is None:
-        return result(value, err, history, events)
-    change = np.inf
-    for doubling in range(max_lmax_doublings + 1):
-        if doubling:
-            value, err, history, events = attempt(2 * lmax_history[-1][0])
-        change = abs(value - checks[-1][1])
+        value, err, history, converged, nested = integrate(lmax, events)
+        value, err = float(value), float(err)
+        if lmax is not None:
+            lmax_history.append((lmax, value))
+        if not converged:
+            raise NotConverged(
+                f"quadrature not converged after {len(history) - 1} doublings "
+                f"(error estimate {err:.3e})",
+                result=result(value, err, history, events, "quadrature"))
+        if max_lmax_doublings is None:
+            return result(value, err, history, events)
+        check = (nested[0], float(nested[1]))
+        # a negative budget accepts no pass
+        change = abs(value - check[1]) if doubling <= max_lmax_doublings else np.inf
         if change <= lmax_tol * max(abs(value), 1e-300):
             return result(value, err + change, history, events)
-    raise NotConverged(
-        f"multipole truncation not converged after {max_lmax_doublings} "
-        f"doublings (last change {change:.3e})",
-        result=result(value, err + change, history, events, "lmax"),
-    )
+        if doubling >= max_lmax_doublings:
+            raise NotConverged(
+                f"multipole truncation not converged after {max_lmax_doublings} "
+                f"doublings (last change {change:.3e})",
+                result=result(value, err + change, history, events, "lmax"))
+        lmax *= 2

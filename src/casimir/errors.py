@@ -53,7 +53,7 @@ class DomainError(CasimirError):
 class NotConverged(CasimirError):
     """Quadrature or truncation refinement hit its limit before the tolerance.
 
-    The best available result is attached as the ``result`` attribute.
+    Raised by ``core.energy`` alone; the best EnergyResult is its ``result``.
     """
 
     def __init__(self, message, result=None):

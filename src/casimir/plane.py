@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import C_LIGHT, HBAR, QuadratureSpec, energy, gauss_legendre_01, refine_order
-from .errors import DomainError, NotConverged, OscillatoryFailure
+from .errors import DomainError, OscillatoryFailure
 from .materials import (
     MaterialModel,
     Medium,
@@ -155,7 +155,7 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
         return HBAR * C_LIGHT / (2 * np.pi**2 * sys.L**2) * float((t * jt) @ grid @ jt)
 
     return energy(
-        lambda lmax, events: refine_order(evaluate, quad, "plane energy quadrature"),
+        lambda lmax, events: (*refine_order(evaluate, quad), None),
         warnings=_warnings(sys), geometry="plane", axis="imaginary",
     )
 
@@ -292,8 +292,8 @@ def energy_per_area_real_axis(
     """
     if not (is_dissipative(sys.mat1) and is_dissipative(sys.mat2)):
         raise DomainError("real-axis evaluation requires strictly dissipative mirrors")
-    if omega_max <= 0:
-        raise DomainError("omega_max must be > 0")
+    if not 0 < omega_max < np.inf:
+        raise DomainError(f"omega_max must be finite and > 0, got {omega_max!r}")
     L = sys.L
     # Channels beyond q_max contribute at the e^{-2 q L} level; their exact
     # real-axis values are exponentially small results of O(1) oscillatory
@@ -311,18 +311,12 @@ def energy_per_area_real_axis(
         inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq * q * errs)))
         return HBAR / (4 * np.pi**2) * float(np.sum(jq * q * vals))
 
-    def with_bounds(value, err, history):
-        return value, err + inner_errs[-1] + q_tail, history
-
     def integrate(lmax, events):
         if quad.tol < 1e-4:
             events["tol_floored"] += 1
-        try:
-            return with_bounds(*refine_order(
-                evaluate, replace(quad, tol=max(quad.tol, 1e-4)), "real-axis energy"))
-        except NotConverged as exc:
-            exc.result = with_bounds(*exc.result)
-            raise
+        value, err, history, converged = refine_order(
+            evaluate, replace(quad, tol=max(quad.tol, 1e-4)))
+        return value, err + inner_errs[-1] + q_tail, history, converged, None
 
     return energy(integrate, warnings=_warnings(sys), geometry="plane",
                   axis="real", omega_max=omega_max)

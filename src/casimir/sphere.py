@@ -35,10 +35,8 @@ from .core import (
     HBAR,
     QuadratureSpec,
     energy,
-    gauss_legendre_01,
     integrate_semiinfinite,
     log_det_one_minus,
-    semiinfinite_rule,
 )
 from .errors import DomainError
 from .materials import MaterialModel, Medium, PerfectMirror, VACUUM, eps_imag_axis
@@ -410,7 +408,8 @@ def sphere_energy(
     u/(1-u). The truncation order starts at ``sys.lmax`` (or the gap-based
     default). Unless ``adaptive_lmax`` is off, each quadrature pass at lmax
     also sums the energy at lmax' = min(ceil(3 lmax / 4), lmax - 1) from
-    the same round trips (the l <= lmax' sub-blocks of each G); the pass
+    the same round trips (the l <= lmax' sub-blocks of each G), and its
+    quadrature refines both sums until each meets ``quad.tol``; the pass
     converges when the two differ by at most ``lmax_tol`` relative, and
     lmax doubles otherwise, up to ``max_lmax_doublings`` times. That
     difference joins the error estimate.
@@ -425,22 +424,15 @@ def sphere_energy(
 
     def integrate(lmax, events):
         nested = min(math.ceil(0.75 * lmax), lmax - 1) if adaptive_lmax else None
-        sub_values = []
 
         def f(xi):
             events.clear()
-            out = _round_trip_logdet_sum(sys, xi, lmax, events, nested)
-            if nested is None:
-                return prefactor * out
-            sub_values[:] = [prefactor * out[1]]
-            return prefactor * out[0]
+            return prefactor * np.asarray(_round_trip_logdet_sum(sys, xi, lmax, events, nested))
 
-        value, err, history = integrate_semiinfinite(f, quad, scale=scale)
+        value, err, history, converged = integrate_semiinfinite(f, quad, scale=scale)
         if nested is None:
-            return value, err, history
-        # the last call of f was on the nodes of the last order
-        _, weights = semiinfinite_rule(*gauss_legendre_01(history[-1][0]), scale)
-        return value, err, history, (nested, float(np.sum(weights * sub_values[0])))
+            return value, err, history, converged, None
+        return value[0], err[0], history, converged, (nested, value[1])
 
     return energy(
         integrate,

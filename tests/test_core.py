@@ -12,7 +12,7 @@ from casimir.core import (
     integrate_semiinfinite,
     log_det_one_minus,
 )
-from casimir.errors import BranchRisk, NotConverged
+from casimir.errors import BranchRisk
 
 
 class TestLogDetOneMinus:
@@ -125,13 +125,14 @@ class TestStackedLogDetOneMinus:
 
 class TestIntegrateSemiInfinite:
     def test_exponential(self):
-        value, err, _ = integrate_semiinfinite(
+        value, err, _, converged = integrate_semiinfinite(
             lambda x: np.exp(-x), QuadratureSpec(base_order=32, tol=1e-12), scale=1.0
         )
         assert value == pytest.approx(1.0, abs=1e-10)
+        assert converged and type(value) is float and type(err) is float
 
     def test_x_exponential(self):
-        value, _, _ = integrate_semiinfinite(
+        value, _, _, _ = integrate_semiinfinite(
             lambda x: x * np.exp(-x), QuadratureSpec(base_order=32, tol=1e-12)
         )
         assert value == pytest.approx(1.0, abs=1e-10)
@@ -143,7 +144,7 @@ class TestIntegrateSemiInfinite:
         def f(xi):
             return np.log1p(-r2 * np.exp(-2 * xi * L / c))
 
-        value, _, _ = integrate_semiinfinite(
+        value, _, _, _ = integrate_semiinfinite(
             f, QuadratureSpec(base_order=64, tol=1e-10), scale=c / L
         )
         # independent adaptive oracle; the tail beyond 60 c/(2L) is below
@@ -152,7 +153,7 @@ class TestIntegrateSemiInfinite:
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_error_estimate_shrinks(self):
-        _, _, history = integrate_semiinfinite(
+        _, _, history, _ = integrate_semiinfinite(
             lambda x: np.exp(-(x**2)), QuadratureSpec(base_order=16, tol=1e-13, max_doublings=5)
         )
         vals = [v for _, v in history]
@@ -160,16 +161,48 @@ class TestIntegrateSemiInfinite:
         assert all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
 
     def test_not_converged_carries_best(self):
+        """Out of doublings, the best value comes back with the flag off;
+        only core.energy raises NotConverged."""
         spec = QuadratureSpec(base_order=8, max_doublings=0, tol=1e-14)
-        with pytest.raises(NotConverged) as err:
-            integrate_semiinfinite(lambda x: np.exp(-x), spec)
-        assert err.value.result is not None
+        value, err, history, converged = integrate_semiinfinite(lambda x: np.exp(-x), spec)
+        assert not converged
+        assert value == pytest.approx(1.0, rel=1e-2) and err == np.inf
+        assert history == [(8, value)]
+
+    def test_stack_rows_equal_single_calls(self):
+        """Each row of a stacked integrand is summed as the single
+        integrand would be, and the stack doubles until every row meets
+        tol: the exponential alone stops at order 64, the sqrt(x) start
+        needs 1024."""
+        rows = [lambda x: np.exp(-x), lambda x: np.sqrt(x) * np.exp(-x)]
+        spec = QuadratureSpec(base_order=8, max_doublings=8, tol=1e-9)
+        value, err, history, converged = integrate_semiinfinite(
+            lambda x: np.stack([f(x) for f in rows]), spec)
+        single = [integrate_semiinfinite(f, spec) for f in rows]
+        assert [len(s[2]) for s in single] == [4, 8]
+        assert converged and [order for order, _ in history] == [o for o, _ in single[1][2]]
+        for order, stacked in history:
+            at = QuadratureSpec(base_order=order, max_doublings=0)
+            assert list(stacked) == [integrate_semiinfinite(f, at)[0] for f in rows]
+        assert (value[1], err[1]) == single[1][:2]
+        assert np.all(err <= spec.tol * np.abs(value))
 
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(base_order=4)
         with pytest.raises(ValueError):
             QuadratureSpec(tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_order", 8.5), ("base_order", 64.0), ("base_order", True), ("base_order", "64"),
+        ("max_doublings", 1.5), ("max_doublings", False),
+    ])
+    def test_quadspec_counts_must_be_integers(self, field, value):
+        """A fractional order would be integrated at int(order) while the
+        metadata reported the fraction."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QuadratureSpec(**{field: value})
+        QuadratureSpec(**{field: np.int64(9)})  # a numpy integer passes
 
 
 class TestEnergyResult:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from casimir.core import EVENTS, QuadratureSpec, energy
+from casimir.core import EVENTS, EnergyResult, QuadratureSpec, energy
 from casimir.errors import DomainError, NotConverged
 from casimir.materials import VACUUM, ConstantEps, Drude, Lorentz, Plasma
 from casimir.plane import PlaneSystem, energy_per_area, energy_per_area_real_axis
@@ -51,6 +51,7 @@ def test_metadata_schema(path, converges):
     assert meta["orders"][0] == base and all(isinstance(o, int) for o in meta["orders"])
     if not converges:
         assert meta["orders"] == [8]
+    _assert_floats(res)
     assert set(meta["events"]) == set(EVENTS)
     assert all(isinstance(v, int) and v >= 0 for v in meta["events"].values())
     # the real axis refines q to 1e-4 at best, and says so
@@ -68,19 +69,53 @@ def test_metadata_schema(path, converges):
             assert meta["lmax_check"] is None
 
 
+def _assert_floats(res):
+    """Value, error and the energies of the lmax metadata are Python floats."""
+    meta = res.metadata
+    numbers = [res.value, res.error_estimate, *(v for _, v in meta["lmax_history"])]
+    numbers += [meta["lmax_check"][1]] if meta["lmax_check"] else []
+    assert all(type(x) is float for x in numbers)
+
+
+# path -> (run that raises NotConverged, its warning, its message)
+FAILURES = {
+    "plane-imaginary": (lambda: energy_per_area(PLATES, FAIL), "quadrature", "quadrature"),
+    "plane-real": (lambda: energy_per_area_real_axis(PLATES, W_MAX, FAIL), "quadrature",
+                   "quadrature"),
+    "sphere-quadrature": (lambda: sphere_energy(SPHERES, FAIL), "quadrature", "quadrature"),
+    "sphere-lmax": (lambda: sphere_energy(SPHERES, PATHS["sphere"][1], max_lmax_doublings=0),
+                    "lmax", "multipole truncation"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(FAILURES))
+def test_not_converged_carries_energy_result(path):
+    """Every failure is raised by core.energy, with the best EnergyResult."""
+    run, kind, message = FAILURES[path]
+    with pytest.raises(NotConverged, match=f"{message} not converged") as err:
+        run()
+    res = err.value.result
+    assert isinstance(res, EnergyResult)
+    assert res.metadata["warnings"] == [f"{kind} not converged"]
+    _assert_floats(res)
+    if kind == "quadrature":
+        assert res.metadata["orders"] == [8] and res.error_estimate == math.inf
+        # an adaptive sphere pass refines its nested sum along with its
+        # energy, but a pass whose quadrature fails is not checked
+        assert res.metadata["lmax_check"] is None
+
+
 def _fake(values, fail_at=()):
     """integrate(lmax, events) for ``values[lmax]`` = (value,) or (value,
     nested value): error 1e-3 and, with a nested value, the check
-    (lmax - 1, nested value); raises the quadrature NotConverged for lmax in
-    ``fail_at``."""
+    (lmax - 1, nested value); the quadrature reports no convergence for
+    lmax in ``fail_at``."""
 
     def integrate(lmax, events):
         events["xi_clamped"] += lmax or 1
         value, *nested = values[lmax]
-        out = (value, 1e-3, [(8, 0.0), (16, value)])
-        if lmax in fail_at:
-            raise NotConverged("semi-infinite quadrature not converged", result=out)
-        return (*out, (lmax - 1, *nested)) if nested else out
+        check = (lmax - 1, *nested) if nested else None
+        return value, 1e-3, [(8, 0.0), (16, value)], lmax not in fail_at, check
 
     return integrate
 
@@ -151,7 +186,7 @@ class TestEnergyLoop:
         assert err.value.result.error_estimate == float("inf")
 
     def test_quadrature_failure_at_second_lmax(self):
-        with pytest.raises(NotConverged, match="semi-infinite") as err:
+        with pytest.raises(NotConverged, match="quadrature not converged") as err:
             energy(_fake({1: (-1.0, 0.0), 2: (-2.0, -1.9)}, fail_at={2}), lmax=1,
                    lmax_tol=1e-3, max_lmax_doublings=2)
         res = err.value.result
@@ -196,6 +231,8 @@ NAN, INF = math.nan, math.inf
     (lambda: SphereSystem(1e-7, 1e-7, INF, GOLD, GOLD), DomainError),
     (lambda: QuadratureSpec(tol=NAN), ValueError),
     (lambda: QuadratureSpec(tol=INF), ValueError),
+    (lambda: energy_per_area_real_axis(PLATES, NAN), DomainError),
+    (lambda: energy_per_area_real_axis(PLATES, INF), DomainError),
 ])
 def test_non_finite_parameter_rejected_at_construction(build, error):
     """A NaN or infinite parameter raises where it enters, not as a
