@@ -19,11 +19,13 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from . import identities, toy
-from .core import C_LIGHT, HBAR, QuadratureSpec
+from .core import C_LIGHT, HBAR, QuadratureSpec, check_count
 from .errors import CasimirError, DomainError, NotContraction, NotConverged
 from .materials import material_from_dict
 from .plane import PlaneSystem, energy_per_area, ideal_energy_per_area
@@ -32,43 +34,32 @@ from .sphere import SphereSystem, sphere_energy
 FMT = "%.17g"
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+def _build(cfg, name, build, **flags):
+    """``build(**cfg[name])``, with the ``flags`` that were given over the
+    section's keys. A rejection is a config error (exit 2): ``build``'s own
+    ValueError, DomainError or NotContraction, or a TypeError for an unknown
+    key or a wrong type, whose message gets the section's name in front."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return build(**{**cfg.get(name, {}), **given})
+    except TypeError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    except (DomainError, NotContraction) as exc:
+        raise ValueError(str(exc)) from None
 
 
-def _quad_from(cfg, args):
-    q = dict(cfg.get("quad", {}))
-    if args.quad_order is not None:
-        q["base_order"] = args.quad_order
-    default = QuadratureSpec()
-    return QuadratureSpec(
-        base_order=int(q.get("base_order", default.base_order)),
-        max_doublings=int(q.get("max_doublings", default.max_doublings)),
-        tol=float(q.get("tol", default.tol)),
-    )
-
-
-def _sweep_from(cfg, default_min=1e-7, default_max=1e-6):
-    sw = cfg.get("sweep", {})
-    lmin = float(sw.get("L_min", default_min))
-    lmax = float(sw.get("L_max", default_max))
-    points = int(sw.get("points", 5))
-    spacing = sw.get("spacing", "log")
-    if not (0 < lmin < math.inf and math.isfinite(lmax)) or lmax <= lmin and points > 1:
+def _lengths(L_min=1e-7, L_max=1e-6, points=5, spacing="log"):
+    """The separations of the ``sweep`` section: ``points`` values from
+    L_min to L_max (one point is L_min), evenly spaced on a log or a
+    linear scale."""
+    check_count("sweep points", points, 1)
+    if not (0 < L_min < math.inf and math.isfinite(L_max)) or L_max <= L_min and points > 1:
         raise ValueError(f"sweep bounds must be finite with 0 < L_min < L_max, "
-                         f"got {lmin!r}, {lmax!r}")
-    if points < 1:
-        raise ValueError("sweep needs at least one point")
-    if points == 1:
-        return np.array([lmin])
-    if spacing == "log":
-        return np.geomspace(lmin, lmax, points)
-    if spacing == "linear":
-        return np.linspace(lmin, lmax, points)
-    raise ValueError(f"unknown spacing {spacing!r}")
+                         f"got {L_min!r}, {L_max!r}")
+    space = {"log": np.geomspace, "linear": np.linspace}.get(spacing)
+    if space is None:
+        raise ValueError(f"unknown spacing {spacing!r}")
+    return space(L_min, L_max if points > 1 else L_min, points).tolist()
 
 
 def _emit(args, payload, columns, rows):
@@ -92,15 +83,9 @@ def _emit(args, payload, columns, rows):
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
 def cmd_verify(args, cfg):
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 50))
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    trials = cfg.get("trials", 50) if args.trials is None else args.trials
+    seed = cfg.get("seed", 42) if args.seed is None else args.seed
     rows = [[name, residual, bound, "PASS" if residual <= bound else "FAIL"]
             for name, residual, bound in identities.run(trials, seed)]
     for name, residual, bound, status in rows:
@@ -111,20 +96,16 @@ def cmd_verify(args, cfg):
     return 0 if all(row[-1] == "PASS" for row in rows) else 1
 
 
-# ---------------------------------------------------------------------------
-# plane / sphere sweeps
-# ---------------------------------------------------------------------------
-
-def _sweep(args, cfg, lengths, energy_at, columns, extra):
-    """One row per separation L: L, the energy, ``extra(L, result)``, the
-    error estimate and a ``not_converged`` flag; each result's own warnings
-    go into the JSON ``warnings`` and its event counts into the JSON
-    ``events``, one entry per row with that row's L. Returns 3 if any point
-    did not converge."""
+def _sweep(args, cfg, systems, energy_at, columns, extra):
+    """One row per separation L of ``systems`` (L -> system): L, the
+    energy, ``extra(L, result)``, the error estimate and a
+    ``not_converged`` flag; each result's own warnings go into the JSON
+    ``warnings`` and its event counts into the JSON ``events``, one entry
+    per row with that row's L. Returns 3 if any point did not converge."""
     rows, warnings, events = [], [], []
-    for L in map(float, lengths):
+    for L, system in systems.items():
         try:
-            res, flag = energy_at(L), ""
+            res, flag = energy_at(system), ""
         except NotConverged as exc:
             res, flag = exc.result, "not_converged"
         rows.append([L, res.value, extra(L, res), res.error_estimate, flag])
@@ -138,64 +119,60 @@ def cmd_plane(args, cfg):
     mat1 = material_from_dict(cfg.get("material1", "perfect_mirror"))
     mat2 = material_from_dict(cfg.get("material2", "perfect_mirror"))
     medium = material_from_dict(cfg.get("medium", "vacuum"))
-    quad = _quad_from(cfg, args)
-    lengths = _sweep_from(cfg)
-    systems = {L: _config_checked(PlaneSystem, mat1, mat2, medium, L) for L in map(float, lengths)}
+    quad = _build(cfg, "quad", QuadratureSpec, base_order=args.quad_order)
+
+    def plates(**sweep):
+        return {L: PlaneSystem(mat1, mat2, medium, L) for L in _lengths(**sweep)}
+
     return _sweep(
-        args, cfg, lengths,
-        lambda L: energy_per_area(systems[L], quad),
+        args, cfg, _build(cfg, "sweep", plates),
+        lambda system: energy_per_area(system, quad),
         ["L", "energy_per_area", "ratio_to_ideal", "error_estimate", "flag"],
         lambda L, res: res.value / float(ideal_energy_per_area(L)),
     )
 
 
-def _config_checked(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with the package rejecting its arguments
-    reported as a config error (exit 2), not as a failure (exit 1)."""
-    try:
-        return build(*args, **kwargs)
-    except (DomainError, NotContraction) as exc:
-        raise ValueError(str(exc)) from None
+def _spheres(cfg, mat1, mat2, R1=1e-7, R2=1e-7, lmax=None):
+    """The ``sphere`` section: a SphereSystem for each L of the sweep,
+    whose default respects L > R1 + R2."""
+    sweep = partial(_lengths, L_min=4 * (R1 + R2), L_max=20 * (R1 + R2))
+    return {L: SphereSystem(R1, R2, L, mat1, mat2, lmax=lmax) for L in _build(cfg, "sweep", sweep)}
 
 
 def cmd_sphere(args, cfg):
-    sph = cfg.get("sphere", {})
     mat1 = material_from_dict(cfg.get("material1", "perfect_mirror"))
     mat2 = material_from_dict(cfg.get("material2", "perfect_mirror"))
-    r1 = float(sph.get("R1", 1e-7))
-    r2 = float(sph.get("R2", 1e-7))
-    lmax = args.lmax if args.lmax is not None else sph.get("lmax")
-    quad = _quad_from(cfg, args)
-    # default sweep must respect L > R1 + R2
-    lengths = _sweep_from(cfg, default_min=4 * (r1 + r2), default_max=20 * (r1 + r2))
-    systems = {L: _config_checked(SphereSystem, R1=r1, R2=r2, L=L, mat1=mat1, mat2=mat2,
-                                  lmax=lmax)
-               for L in map(float, lengths)}
+    quad = _build(cfg, "quad", QuadratureSpec, base_order=args.quad_order)
+    spheres = _build(cfg, "sphere", partial(_spheres, cfg, mat1, mat2), lmax=args.lmax)
     return _sweep(
-        args, cfg, lengths,
-        lambda L: sphere_energy(systems[L], quad),
+        args, cfg, spheres,
+        lambda system: sphere_energy(system, quad),
         ["L", "energy", "lmax_used", "error_estimate", "flag"],
         lambda L, res: res.metadata["lmax"],
     )
 
 
-# ---------------------------------------------------------------------------
-# toy-dos
-# ---------------------------------------------------------------------------
+def _cavity(L=1e-6, r=0.9, t=0.3, band=(0.5, 8.0)):
+    """The ``toy`` section, checked: (L, r, t, lo, hi) for a cavity of
+    length L between mirrors of reflection r and transmission t, over the
+    band [lo, hi] in units of c/L."""
+    try:
+        lo, hi = band
+        valid = 0 < lo < hi < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"toy band must be two numbers [lo, hi] in c/L with 0 < lo < hi, "
+                         f"got {band!r}")
+    if not (0 < L < math.inf and math.isfinite(r) and math.isfinite(t)):
+        raise ValueError(f"toy L must be finite and > 0, and r and t finite, "
+                         f"got {L!r}, {r!r}, {t!r}")
+    toy.lossy_mirror(r, t, "right")
+    return L, r, t, lo, hi
+
 
 def cmd_toy_dos(args, cfg):
-    tcfg = cfg.get("toy", {})
-    L = float(tcfg.get("L", 1e-6))
-    r = float(tcfg.get("r", 0.9))
-    t = float(tcfg.get("t", 0.3))
-    band = tcfg.get("band", [0.5, 8.0])
-    try:
-        lo, hi = (float(b) for b in band)
-    except (TypeError, ValueError):
-        raise ValueError(f"toy band must be two numbers [lo, hi] in c/L, got {band!r}") from None
-    if not 0 < L < math.inf:
-        raise ValueError(f"toy L must be finite and > 0, got {L!r}")
-    _config_checked(toy.lossy_mirror, r, t, "right")
+    L, r, t, lo, hi = _build(cfg, "toy", _cavity)
     scale = C_LIGHT / L
     res = toy.band_energies(L, r, t, (lo * scale, hi * scale))
     e_phase, e_dos = res["phase_route"], res["dos_route"]
@@ -204,8 +181,6 @@ def cmd_toy_dos(args, cfg):
     # absolute floor: quadrature noise far below hbar times the band width
     zero_floor = 1e-9 * HBAR * (hi - lo) * scale
     agree = rel < 1e-6 or max(abs(e_phase), abs(e_dos)) < zero_floor
-    columns = ["omega", "dphi", "deta"]
-    rows = [[w, p, d] for w, p, d in res["rows"]]
     payload = {
         "config_echo": cfg,
         "warnings": [],
@@ -215,7 +190,7 @@ def cmd_toy_dos(args, cfg):
             "relative_difference": FMT % rel,
         },
     }
-    _emit(args, payload, columns, rows)
+    _emit(args, payload, ["omega", "dphi", "deta"], res["rows"])
     print(f"phase-route energy: {e_phase: .12e} J", file=sys.stderr)
     print(f"dos-route energy:   {e_dos: .12e} J", file=sys.stderr)
     print(f"relative difference: {rel:.3e}", file=sys.stderr)
@@ -253,15 +228,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = {} if args.config is None else json.loads(Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.func(args, cfg)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NotConverged as exc:

@@ -129,6 +129,12 @@ def _log_det_series(m):
     return -(t4 / 4 + t3 / 3 + t2 / 2 + t1)
 
 
+def check_count(name, value, lowest, error=ValueError):
+    """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``lowest``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lowest:
+        raise error(f"{name} must be an integer >= {lowest}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre order, doubling budget and relative tolerance."""
@@ -138,16 +144,10 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("base_order", "max_doublings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.base_order < 8:
-            raise ValueError("base_order must be >= 8")
+        check_count("base_order", self.base_order, 8)
+        check_count("max_doublings", self.max_doublings, 0)
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if self.max_doublings < 0:
-            raise ValueError("max_doublings must be >= 0")
 
 
 @dataclass
@@ -234,7 +234,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
     same nodes, or None. Unless ``max_lmax_doublings`` is None, a converged
     pass is accepted when |value - value'| <= ``lmax_tol`` |value|;
     otherwise lmax doubles, up to ``max_lmax_doublings`` times. The last
-    such change (inf if no check ran) joins the error.
+    such change joins the error.
 
     Returns
     -------
@@ -250,11 +250,18 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
 
     Raises
     ------
+    ValueError
+        Before any pass, for a ``max_lmax_doublings`` that is not an
+        integer >= 0 or an ``lmax_tol`` that is not finite and >= 0.
     NotConverged
         If a pass's quadrature or the lmax doubling does not converge; the
         best EnergyResult is attached. No other function of the package
         raises it.
     """
+    if max_lmax_doublings is not None:
+        check_count("max_lmax_doublings", max_lmax_doublings, 0)
+    if not 0 <= lmax_tol < np.inf:
+        raise ValueError(f"lmax_tol must be finite and >= 0, got {lmax_tol!r}")
     lmax_history, check = [], None
 
     def result(value, err, history, events, failed=None):
@@ -282,8 +289,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
         if max_lmax_doublings is None:
             return result(value, err, history, events)
         check = (nested[0], float(nested[1]))
-        # a negative budget accepts no pass
-        change = abs(value - check[1]) if doubling <= max_lmax_doublings else np.inf
+        change = abs(value - check[1])
         if change <= lmax_tol * max(abs(value), 1e-300):
             return result(value, err + change, history, events)
         if doubling >= max_lmax_doublings:

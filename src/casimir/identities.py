@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import blockmat, scattering
+from .core import check_count
 from .scattering import ScatteringMatrix
 
 
@@ -146,7 +147,10 @@ ROWS = {
 def run(trials, seed):
     """(name, max residual over the trials, bound) for every line of the
     table, in order; ``default_rng(seed)`` draws 8 fixture seeds per trial.
-    NotUnitary if a fixture that must be unitary is not."""
+    NotUnitary if a fixture that must be unitary is not; ValueError unless
+    ``trials`` is an integer >= 1 and ``seed`` one >= 0."""
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     seeds = np.random.default_rng(seed).integers(0, 2**31 - 1, size=trials * 8)
     slots = [[int(x) for x in seeds[j * trials:(j + 1) * trials]] for j in range(8)]
     table = []

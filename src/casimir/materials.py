@@ -165,13 +165,14 @@ def is_dissipative(model):
 # config name -> model; the parameters are the model's fields
 _MODELS = {"perfect_mirror": PerfectMirror, "mirror": PerfectMirror, "ideal": PerfectMirror,
            "plasma": Plasma, "drude": Drude, "constant_eps": ConstantEps,
-           "dielectric": ConstantEps, "lorentz": Lorentz}
+           "dielectric": ConstantEps, "lorentz": Lorentz, "vacuum": lambda: VACUUM}
 
 
 def material_from_dict(spec):
     """Build a material from a config mapping, e.g.
     {"model": "drude", "omega_p": 1.37e16, "gamma": 5.3e13}, or from a bare
-    model name.
+    model name. The other keys of the mapping are the model's fields, as
+    numbers; a missing, unknown or rejected field raises ValueError.
 
     Recognized models: perfect_mirror (mirror, ideal) | plasma | drude |
     constant_eps (dielectric) | lorentz | vacuum; "-" may stand for "_".
@@ -180,12 +181,11 @@ def material_from_dict(spec):
         spec = {"model": spec}
     if not isinstance(spec, dict):
         raise ValueError(f"material spec must be a model name or a mapping, got {spec!r}")
-    kind = str(spec.get("model", "")).lower().replace("-", "_")
-    if kind == "vacuum":
-        return VACUUM
+    params = dict(spec)
+    kind = str(params.pop("model", "")).lower().replace("-", "_")
     if kind not in _MODELS:
         raise ValueError(f"unknown material model {spec!r}")
     try:
-        return _MODELS[kind](**{f.name: float(spec[f.name]) for f in fields(_MODELS[kind])})
-    except KeyError as exc:
-        raise ValueError(f"material spec {spec!r} missing parameter {exc}") from exc
+        return _MODELS[kind](**params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"material spec {spec!r}: {exc}") from None

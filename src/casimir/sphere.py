@@ -34,6 +34,7 @@ from .core import (
     C_LIGHT,
     HBAR,
     QuadratureSpec,
+    check_count,
     energy,
     integrate_semiinfinite,
     log_det_one_minus,
@@ -63,10 +64,8 @@ class SphereSystem:
             raise DomainError(f"L must be finite and > R1 + R2 (no overlap), got {self.L!r}")
         if self.medium != VACUUM:
             raise DomainError("only a vacuum medium is supported for spheres")
-        lmax = self.lmax
-        if lmax is not None and (isinstance(lmax, bool) or not isinstance(lmax, (int, np.integer))
-                                 or lmax < 1):
-            raise DomainError(f"lmax must be an integer >= 1, got {lmax!r}")
+        if self.lmax is not None:
+            check_count("lmax", self.lmax, 1, DomainError)
 
     @property
     def gap(self):

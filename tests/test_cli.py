@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import casimir
-from casimir import identities
+from casimir import cli, identities
 from casimir.cli import main
 from casimir.core import QuadratureSpec
 from casimir.materials import PerfectMirror
@@ -377,12 +378,81 @@ class TestOptions:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_quad_defaults_are_the_spec_defaults(self):
-        from argparse import Namespace
+    def test_quad_defaults_are_the_spec_defaults(self, monkeypatch, tmp_path, capsys):
+        """No quad section runs QuadratureSpec(); --quad-order sets only
+        base_order, over the section's own."""
+        quads, run = [], cli.energy_per_area
+        monkeypatch.setattr(cli, "energy_per_area",
+                            lambda system, quad: quads.append(quad) or run(system, quad))
+        bare, tuned = tmp_path / "bare.json", tmp_path / "tuned.json"
+        sweep = {"L_min": 1e-7, "points": 1}
+        bare.write_text(json.dumps({"sweep": sweep}))
+        tuned.write_text(json.dumps({"sweep": sweep, "quad": {"base_order": 32, "tol": 1e-6}}))
+        for argv in (["--config", str(bare)], ["--config", str(bare), "--quad-order", "16"],
+                     ["--config", str(tuned), "--quad-order", "16"]):
+            assert run_cli(["plane", *argv]) == 0
+        capsys.readouterr()
+        assert quads == [QuadratureSpec(), QuadratureSpec(base_order=16),
+                         QuadratureSpec(base_order=16, tol=1e-6)]
 
-        from casimir.cli import _quad_from
 
-        assert _quad_from({}, Namespace(quad_order=None)) == QuadratureSpec()
+DRUDE = {"model": "drude", "omega_p": 1.37e16, "gamma": 5.3e13}
+# (command, config): configs whose values the CLI used to coerce, ignore or
+# crash on: a null, a list for an object, a misspelt key, a fractional count,
+# a string number, and an infinite toy band that printed numpy warnings
+MALFORMED = {
+    "plane-fractional-quad": ("plane", {"quad": {"base_order": 8.5, "max_doublings": 1.5}}),
+    "plane-fractional-doublings": ("plane", {"quad": {"max_doublings": 1.5}}),
+    "plane-misspelt-quad": ("plane", {"quad": {"base_ordr": 8}}),
+    "plane-misspelt-sweep": ("plane", {"sweep": {"Lmin": 1e-9}}),
+    "plane-misspelt-material": ("plane", {"material1": {**DRUDE, "gama": 5.3e13}}),
+    "plane-fractional-points": ("plane", {"sweep": {"points": 2.9}}),
+    "plane-null-L_min": ("plane", {"sweep": {"L_min": None}}),
+    "plane-null-tol": ("plane", {"quad": {"tol": None}}),
+    "plane-null-base_order": ("plane", {"quad": {"base_order": None}}),
+    "plane-null-omega_p": ("plane", {"material1": {**DRUDE, "omega_p": None}}),
+    "plane-list-quad": ("plane", {"quad": [64, 6, 1e-8]}),
+    "plane-list-sweep": ("plane", {"sweep": [1e-7]}),
+    "plane-string-tol": ("plane", {"quad": {"tol": "1e-8"}}),
+    "sphere-misspelt": ("sphere", {"sphere": {"radius": 1e-7}}),
+    "sphere-null-R1": ("sphere", {"sphere": {"R1": None}}),
+    "sphere-list": ("sphere", {"sphere": [1e-7, 1e-7]}),
+    "sphere-list-sweep": ("sphere", {"sweep": [1e-7]}),
+    "sphere-string-R2": ("sphere", {"sphere": {"R2": "1e-7"}}),
+    "sphere-fractional-points": ("sphere", {"sweep": {"points": 2.9}}),
+    "toy-misspelt": ("toy-dos", {"toy": {"loss": 0.1}}),
+    "toy-null-L": ("toy-dos", {"toy": {"L": None}}),
+    "toy-null-r": ("toy-dos", {"toy": {"r": None}}),
+    "toy-list": ("toy-dos", {"toy": [1]}),
+    "toy-string-r": ("toy-dos", {"toy": {"r": "0.9"}}),
+    "toy-infinite-band": ("toy-dos", {"toy": {"band": [0.5, float("inf")]}}),
+    "verify-fractional": ("verify", {"trials": 2.5, "seed": 1.9}),
+    "verify-fractional-seed": ("verify", {"seed": 1.9}),
+    "verify-null-seed": ("verify", {"seed": None}),
+    "verify-null-trials": ("verify", {"trials": None}),
+    "verify-string-trials": ("verify", {"trials": "50"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_config_error(case, tmp_path, capsys):
+    command, config = MALFORMED[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli([command, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "plane", "sphere", "toy-dos"])
+def test_readme_config_runs(command, tmp_path, capsys):
+    """The README's example config stays valid for every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert run_cli([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 class TestToyDos:

@@ -180,10 +180,20 @@ class TestEnergyLoop:
                      max_lmax_doublings=0)
         assert res.metadata["lmax_history"] == [(4, -1.0)]
 
-    def test_negative_lmax_doublings_is_not_converged(self):
-        with pytest.raises(NotConverged, match="multipole truncation") as err:
-            energy(_fake({1: (-1.0, 0.0)}), lmax=1, max_lmax_doublings=-1)
-        assert err.value.result.error_estimate == float("inf")
+    @pytest.mark.parametrize("settings,message", [
+        ({"max_lmax_doublings": -1}, "max_lmax_doublings must be an integer >= 0"),
+        ({"max_lmax_doublings": 1.5}, "max_lmax_doublings must be an integer >= 0"),
+        ({"max_lmax_doublings": True}, "max_lmax_doublings must be an integer >= 0"),
+        ({"max_lmax_doublings": 3, "lmax_tol": math.nan}, "lmax_tol must be finite and >= 0"),
+        ({"max_lmax_doublings": 3, "lmax_tol": -1.0}, "lmax_tol must be finite and >= 0"),
+        ({"max_lmax_doublings": 3, "lmax_tol": math.inf}, "lmax_tol must be finite and >= 0"),
+    ], ids=["doublings=-1", "doublings=1.5", "doublings=True", "tol=nan", "tol=-1", "tol=inf"])
+    def test_bad_lmax_settings_raise_before_any_pass(self, settings, message):
+        def integrate(lmax, events):
+            raise AssertionError("integrate called")
+
+        with pytest.raises(ValueError, match=message):
+            energy(integrate, lmax=1, **settings)
 
     def test_quadrature_failure_at_second_lmax(self):
         with pytest.raises(NotConverged, match="quadrature not converged") as err:

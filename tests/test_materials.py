@@ -165,3 +165,14 @@ class TestMaterialFromDict:
     def test_missing_parameter(self):
         with pytest.raises(ValueError):
             material_from_dict({"model": "drude", "omega_p": WP})
+
+    @pytest.mark.parametrize("spec", [
+        {"model": "drude", "omega_p": WP, "gama": GAMMA},
+        {"model": "drude", "omega_p": None, "gamma": GAMMA},
+        {"model": "drude", "omega_p": str(WP), "gamma": GAMMA},
+        {"model": "perfect_mirror", "eps": 2.0},
+        {"model": "vacuum", "eps": 2.0},
+    ], ids=["unknown-field", "null-field", "string-field", "mirror-field", "vacuum-field"])
+    def test_fields_go_to_the_model_unchanged(self, spec):
+        with pytest.raises(ValueError, match="material spec"):
+            material_from_dict(spec)
