@@ -31,7 +31,6 @@ from .materials import (
     PerfectMirror,
     Plasma,
     eps_imag_axis,
-    refractive_index,
 )
 from .plane import (
     PlaneSystem,
@@ -46,7 +45,6 @@ from .scattering import (
     chain3_factorization_residual,
     det_composition_residual,
     dos_change,
-    phase_shift,
     round_trip,
     round_trip_series,
     star,

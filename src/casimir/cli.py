@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import identities, toy
-from .core import C_LIGHT, HBAR, QuadratureSpec, check_count
+from .core import C_LIGHT, HBAR, QuadratureSpec, check_count, check_real
 from .errors import CasimirError, DomainError, NotContraction, NotConverged
 from .materials import material_from_dict
 from .plane import PlaneSystem, energy_per_area, ideal_energy_per_area
@@ -53,9 +52,10 @@ def _lengths(L_min=1e-7, L_max=1e-6, points=5, spacing="log"):
     L_min to L_max (one point is L_min), evenly spaced on a log or a
     linear scale."""
     check_count("sweep points", points, 1)
-    if not (0 < L_min < math.inf and math.isfinite(L_max)) or L_max <= L_min and points > 1:
-        raise ValueError(f"sweep bounds must be finite with 0 < L_min < L_max, "
-                         f"got {L_min!r}, {L_max!r}")
+    check_real("sweep bounds", L_min, 0)
+    check_real("sweep bounds", L_max)
+    if points > 1 and not L_min < L_max:
+        raise ValueError(f"sweep bounds must satisfy L_min < L_max, got {L_min!r}, {L_max!r}")
     space = {"log": np.geomspace, "linear": np.linspace}.get(spacing)
     if space is None:
         raise ValueError(f"unknown spacing {spacing!r}")
@@ -158,15 +158,12 @@ def _cavity(L=1e-6, r=0.9, t=0.3, band=(0.5, 8.0)):
     band [lo, hi] in units of c/L."""
     try:
         lo, hi = band
-        valid = 0 < lo < hi < math.inf
+        check_real("band", lo, 0)
+        check_real("band", hi, lo)
     except (TypeError, ValueError):
-        valid = False
-    if not valid:
         raise ValueError(f"toy band must be two numbers [lo, hi] in c/L with 0 < lo < hi, "
-                         f"got {band!r}")
-    if not (0 < L < math.inf and math.isfinite(r) and math.isfinite(t)):
-        raise ValueError(f"toy L must be finite and > 0, and r and t finite, "
-                         f"got {L!r}, {r!r}, {t!r}")
+                         f"got {band!r}") from None
+    check_real("toy L", L, 0)
     toy.lossy_mirror(r, t, "right")
     return L, r, t, lo, hi
 

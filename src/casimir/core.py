@@ -7,6 +7,7 @@ Physical constants live here so every module prices energies identically.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
@@ -135,6 +136,16 @@ def check_count(name, value, lowest, error=ValueError):
         raise error(f"{name} must be an integer >= {lowest}, got {value!r}")
 
 
+def check_real(name, value, lowest=-math.inf, error=ValueError, strict=True):
+    """Raise ``error`` unless ``value`` is a real number (not a bool), finite
+    and > ``lowest`` (>= ``lowest`` unless ``strict``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and (value > lowest or not strict and value == lowest)):
+        bound = "" if lowest == -math.inf else f" and {'>' if strict else '>='} {lowest:g}"
+        raise error(f"{name} must be finite{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre order, doubling budget and relative tolerance."""
@@ -146,8 +157,7 @@ class QuadratureSpec:
     def __post_init__(self):
         check_count("base_order", self.base_order, 8)
         check_count("max_doublings", self.max_doublings, 0)
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        check_real("tol", self.tol, 0)
 
 
 @dataclass
@@ -260,8 +270,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
     """
     if max_lmax_doublings is not None:
         check_count("max_lmax_doublings", max_lmax_doublings, 0)
-    if not 0 <= lmax_tol < np.inf:
-        raise ValueError(f"lmax_tol must be finite and >= 0, got {lmax_tol!r}")
+    check_real("lmax_tol", lmax_tol, 0, strict=False)
     lmax_history, check = [], None
 
     def result(value, err, history, events, failed=None):

@@ -1,5 +1,5 @@
 """Dispersion models evaluable on the real frequency axis and on the
-positive imaginary axis, plus the derived complex refractive index.
+positive imaginary axis.
 
 Each model states its permittivity once, as ``permittivity(w)`` of a
 complex frequency w with Im w >= 0; ``eps_real_axis`` evaluates it and
@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .core import check_real
 from .errors import DomainError
 
 
@@ -35,9 +36,7 @@ class _Dispersive:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not self._LOWEST <= value < math.inf:
-                raise ValueError(f"{f.name} must be finite and >= {self._LOWEST:g}, got {value!r}")
+            check_real(f.name, getattr(self, f.name), self._LOWEST, strict=False)
 
 
 @dataclass(frozen=True)
@@ -139,22 +138,6 @@ def eps_real_axis(model, omega):
         raise DomainError("perfect mirror has no finite permittivity")
     out = model.permittivity(w)
     return out if out.ndim else complex(out)
-
-
-def refractive_index(model, omega):
-    """Complex refractive index n = sqrt(eps) with Im n >= 0 (attenuation).
-
-    On the imaginary axis (omega = i xi) the result is real and >= 1.
-
-    Raises
-    ------
-    DomainError
-        For the PerfectMirror sentinel or omega = 0.
-    """
-    eps = eps_real_axis(model, omega)
-    n = np.sqrt(np.asarray(eps, dtype=complex))
-    n = np.where(n.imag < 0, -n, n)
-    return n if n.ndim else complex(n)
 
 
 def is_dissipative(model):

@@ -28,7 +28,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import C_LIGHT, HBAR, QuadratureSpec, energy, gauss_legendre_01, refine_order
+from .core import (
+    C_LIGHT,
+    HBAR,
+    QuadratureSpec,
+    check_real,
+    energy,
+    gauss_legendre_01,
+    refine_order,
+)
 from .errors import DomainError, OscillatoryFailure
 from .materials import (
     MaterialModel,
@@ -51,8 +59,7 @@ class PlaneSystem:
     L: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.L < np.inf:
-            raise DomainError(f"separation must be finite and > 0, got {self.L!r}")
+        check_real("separation", self.L, 0, DomainError)
         if isinstance(self.medium, PerfectMirror):
             raise DomainError("the medium cannot be a perfect mirror")
 
@@ -292,8 +299,7 @@ def energy_per_area_real_axis(
     """
     if not (is_dissipative(sys.mat1) and is_dissipative(sys.mat2)):
         raise DomainError("real-axis evaluation requires strictly dissipative mirrors")
-    if not 0 < omega_max < np.inf:
-        raise DomainError(f"omega_max must be finite and > 0, got {omega_max!r}")
+    check_real("omega_max", omega_max, 0, DomainError)
     L = sys.L
     # Channels beyond q_max contribute at the e^{-2 q L} level; their exact
     # real-axis values are exponentially small results of O(1) oscillatory

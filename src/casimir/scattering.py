@@ -297,16 +297,6 @@ def eigenphases(s):
     return np.sort(np.angle(np.linalg.eigvals(full)), axis=-1)
 
 
-def phase_shift(s):
-    """Total scattering phase shift (1/2i) log det S.
-
-    Computed as half the sum of the principal arguments of the eigenvalues
-    of the full matrix, hence real and defined modulo pi; one per
-    matrix of a stack.
-    """
-    return batch_free(0.5 * np.sum(eigenphases(s), axis=-1))
-
-
 def matched_phase_increment(phases_a, phases_b):
     """Continuity-preserving increment of the phase shift between two
     nearby unitary matrices, from their sorted eigenphases (``eigenphases``).

@@ -13,12 +13,24 @@ polarizations. Blocks for +m and -m differ only by the sign of that
 mixing, a similarity that leaves every determinant unchanged, so this
 module works with |m| throughout.
 
-The sphere reflection amplitudes follow the convention in which the
-electric dipole amplitude reduces to a_1 = (2/3) x^3 (eps-1)/(eps+2) as
-x -> 0 (so a perfectly conducting sphere has static polarizabilities
-alpha = R^3 and beta = -R^3/2). The translation normalization is fixed
-against the dipole-limit interaction of two polarizable spheres; the
-combination is what the dipole-asymptote energy test pins down.
+The energy works in the i_l/k_l basis, where no parity factor appears:
+
+- A sphere's amplitudes (``_mie_scaled``) keep one sign per polarization
+  at every l. The polarizability-convention coefficients a_l, b_l, in
+  which a_1 -> (2/3) x^3 (eps-1)/(eps+2) as x -> 0 (a perfectly conducting
+  sphere has alpha = R^3 and beta = -R^3/2), belong to the j_l/h_l basis
+  continued to k = i kappa. Since j_l(ix) = i^l i_l(x) and
+  h_l(ix) = -(2/pi) i^-l k_l(x), the two differ by i^2l = (-1)^l, which
+  ``mie_amplitudes`` alone applies.
+- The translation m-block K (``_axial_sums``) is symmetric, and the round
+  trip is M = R1 K R2 D K D with D = diag(1_E, -1_M).
+- ``translation_block`` gives T12 = K diag((-1)^(l+m)), the field
+  expansion that its projection oracle pins. The reverse translation is
+  its parity image P T12 P, P = diag((-1)^l, -(-1)^l), which equals
+  D T12^T D; the column sign cancels in R1 T12 R2 D T12^T D = M.
+
+The translation normalization is fixed against the dipole-limit
+interaction of two polarizable spheres.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ from .core import (
     HBAR,
     QuadratureSpec,
     check_count,
+    check_real,
     energy,
     integrate_semiinfinite,
     log_det_one_minus,
@@ -58,10 +71,9 @@ class SphereSystem:
     lmax: int | None = None
 
     def __post_init__(self):
-        if not (0 < self.R1 < math.inf and 0 < self.R2 < math.inf):
-            raise DomainError(f"radii must be finite and > 0, got {self.R1!r}, {self.R2!r}")
-        if not self.R1 + self.R2 < self.L < math.inf:
-            raise DomainError(f"L must be finite and > R1 + R2 (no overlap), got {self.L!r}")
+        for radius in (self.R1, self.R2):
+            check_real("radii", radius, 0, DomainError)
+        check_real("L", self.L, self.R1 + self.R2, DomainError)
         if self.medium != VACUUM:
             raise DomainError("only a vacuum medium is supported for spheres")
         if self.lmax is not None:
@@ -85,10 +97,9 @@ _CACHE_BLOCK_BYTES = 1 << 19
 
 
 def _pairs(lmax, m):
-    """(l', l, index, sign) of the m-block: the orders of its pairs l' <= l
-    as two 1-d arrays, and for each entry [l', l] of the (n, n) block the
-    index of its pair and the reciprocity sign, (-1)^(l + l') below the
-    diagonal and 1 on and above it (see ``_pair_coeffs``)."""
+    """(l', l, index) of the m-block: the orders of its pairs l' <= l as two
+    1-d arrays, and for each entry [l', l] of the (n, n) block the index of
+    its pair (the coefficients are symmetric, see ``_pair_coeffs``)."""
     lmin = max(1, abs(m))
     if lmin > lmax:
         raise DomainError("|m| must not exceed lmax")
@@ -96,9 +107,7 @@ def _pairs(lmax, m):
     iu, ju = np.triu_indices(ls.size)
     index = np.empty((ls.size, ls.size), dtype=np.intp)
     index[iu, ju] = index[ju, iu] = np.arange(iu.size)
-    i, j = np.indices(index.shape)
-    sign = np.where((i > j) & ((i + j) % 2 == 1), -1.0, 1.0)
-    return ls[iu], ls[ju], index, sign
+    return ls[iu], ls[ju], index
 
 
 def _pair_coeffs(lmax, m, lp, l):
@@ -118,11 +127,10 @@ def _pair_coeffs(lmax, m, lp, l):
         cC = N (2 lam + 1) (l l' lam-1; 0 0 0) (l l' lam; m -m 0)
              * sqrt((lam^2 - (l-l')^2) ((l+l'+1)^2 - lam^2))
 
-    with N = (-1)^(l+m) sqrt((2l+1)(2l'+1) / (l(l+1) l'(l'+1))) / pi. The
-    first 3j symbol confines cA to even l + l' + lam and cC to odd; the
-    mixing block vanishes at m = 0. Apart from the sign of N both are
-    symmetric in l <-> l', so c[l, l'] = (-1)^(l+l') c[l', l]
-    (reciprocity), and the pairs l' <= l give the whole block.
+    with N = sqrt((2l+1)(2l'+1) / (l(l+1) l'(l'+1))) / pi. The first 3j
+    symbol confines cA to even l + l' + lam and cC to odd; the mixing block
+    vanishes at m = 0. Both are symmetric in l <-> l', so the pairs
+    l' <= l give the whole block.
     """
     m = abs(m)
     lam = np.arange(2 * lmax + 2)
@@ -133,7 +141,7 @@ def _pair_coeffs(lmax, m, lp, l):
     cC = np.zeros((l.size, lam.size))
     cC[:, :k] = tm
     del tm
-    cC *= (np.where((l + m) % 2, -1.0, 1.0) * np.sqrt(ratio_p * ratio) / np.pi)[:, None]
+    cC *= (np.sqrt(ratio_p * ratio) / np.pi)[:, None]
     cC *= 2 * lam + 1
     cA = np.zeros_like(cC)
     np.multiply(cC[:, :k], t0, out=cA[:, :k])
@@ -160,8 +168,8 @@ def _axial_sums(lmax, m, sk, step):
     ``step`` nodes, A and C as (nodes, n, n) stacks.
 
     The sums are taken for the pairs l' <= l only, for all rows of ``sk``
-    at once, and each slice's blocks are gathered from them with the
-    reciprocity signs of ``_pairs``. A block whose pair coefficients fit
+    at once, and each slice's symmetric blocks are gathered from them
+    through the index of ``_pairs``. A block whose pair coefficients fit
     _CACHE_BLOCK_BYTES comes with its map from ``_axial_coeff_tensors``'s
     cache: all m-blocks at lmax 24 take 2.5 MB and every one of them is
     kept; at lmax 50 only those with n <= 24 are kept (4.4 MB). A larger
@@ -176,10 +184,10 @@ def _axial_sums(lmax, m, sk, step):
     n = lmax - max(1, m) + 1
     nlam = 2 * lmax + 2
     if 8 * n * (n + 1) * nlam <= _CACHE_BLOCK_BYTES:  # 16 bytes per pair and lam
-        *coeffs, (lp, l, index, sign) = _axial_coeff_tensors(lmax, m)
+        *coeffs, (lp, l, index) = _axial_coeff_tensors(lmax, m)
         chunks = [(slice(None), coeffs)]
     else:
-        lp, l, index, sign = _pairs(lmax, m)
+        lp, l, index = _pairs(lmax, m)
         size = max(1, _PAIR_CHUNK_BYTES // (8 * nlam))
         chunks = ((sl, _pair_coeffs(lmax, m, lp[sl], l[sl]))
                   for sl in (slice(lo, lo + size) for lo in range(0, l.size, size)))
@@ -190,18 +198,16 @@ def _axial_sums(lmax, m, sk, step):
     for lo in range(0, len(sk), step):
         sl = slice(lo, lo + step)
         blocks = sums[:, sl][..., index]
-        blocks *= sign
         yield sl, blocks[0], blocks[1]
 
 
-def translation_block(lmax, m, xi, L, direction=+1):
-    """One m-block of the multipole translation matrix over distance L.
+def translation_block(lmax, m, xi, L):
+    """One m-block T12 of the multipole translation matrix over distance L.
 
     Couples (l', pol') <- (l, pol) with l, l' in [max(1, |m|), lmax], block
     layout [E..., M...]. Real-valued on the imaginary axis; entries decay
-    like e^{-xi L / c}. ``direction=-1`` gives the reverse translation,
-    whose same-polarization entries pick up (-1)^(l+l') and whose
-    polarization-mixing entries pick up -(-1)^(l+l').
+    like e^{-xi L / c}. Column l carries the sign (-1)^(l+m) (see the module
+    docstring); the reverse translation is D T12^T D.
 
     The block depends on m only through |m| (the sign of m flips the
     mixing blocks, a similarity that no determinant ever sees).
@@ -209,39 +215,33 @@ def translation_block(lmax, m, xi, L, direction=+1):
     Raises DomainError below w = xi L / c = ``_safe_w_floor(lmax)``, where
     the block's entries overflow.
     """
-    if not 0 < L < math.inf:
-        raise DomainError(f"translation distance must be finite and > 0, got {L!r}")
-    if not 0 < xi < math.inf:
-        raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
+    check_real("translation distance", L, 0, DomainError)
+    check_real("imaginary frequency", xi, 0, DomainError)
     w = xi * L / C_LIGHT
     if w < _safe_w_floor(lmax):
         raise DomainError(f"xi L / c = {w:.3e} is below {_safe_w_floor(lmax):.3e}, "
                           f"where the lmax {lmax} translation block overflows")
     _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
-    block = np.block([[a[0], c[0]], [c[0], a[0]]]) * np.exp(-w)
-    if direction < 0:
-        par = (-1.0) ** np.arange(max(1, abs(m)), lmax + 1)
-        d = np.concatenate([par, -par])
-        block *= np.outer(d, d)
-    return block
+    col = (-1.0) ** (np.arange(max(1, abs(m)), lmax + 1) + m)
+    return np.block([[a[0], c[0]], [c[0], a[0]]]) * (np.exp(-w) * np.tile(col, 2))
 
 
 def _mie_scaled(mat, R, xi, lmax, events=None):
-    """Scaled reflection amplitudes (a_l e^{-2x}, b_l e^{-2x}) for
+    """Scaled reflection amplitudes of the i_l/k_l basis, (-1)^l
+    (a_l e^{-2x}, b_l e^{-2x}) in terms of ``mie_amplitudes``, for
     l = 1..lmax at imaginary frequency xi (a scalar or an array of nodes;
     l runs along the last axis). Non-finite amplitudes are set to 0 and
     counted in ``events["mie_zeroed"]`` when ``events`` is given."""
     xi = np.asarray(xi, dtype=float)
     x = xi * R / C_LIGHT
-    sign = (-1.0) ** np.arange(lmax + 1) * (np.pi / 2.0)
     # at tiny x the outgoing functions overflow; quotients with an inf or
     # nan are zeroed (and counted) below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ss_x, sds_x = riccati_si(lmax, x)
         sc_x, sdc_x = riccati_sk(lmax, x)
         if isinstance(mat, PerfectMirror):
-            a = sign * sds_x / sdc_x
-            b = sign * ss_x / sc_x
+            a = np.pi / 2 * sds_x / sdc_x
+            b = np.pi / 2 * ss_x / sc_x
             return a[..., 1:], b[..., 1:]
         nref = np.sqrt(eps_imag_axis(mat, xi))
         ss_n, sds_n = riccati_si(lmax, nref * x)
@@ -250,8 +250,8 @@ def _mie_scaled(mat, R, xi, lmax, events=None):
         den_a = nref * ss_n * sdc_x - sc_x * sds_n
         num_b = ss_n * sds_x - nref * ss_x * sds_n
         den_b = ss_n * sdc_x - nref * sc_x * sds_n
-        a = (sign * num_a / den_a)[..., 1:]
-        b = (sign * num_b / den_b)[..., 1:]
+        a = (np.pi / 2 * num_a / den_a)[..., 1:]
+        b = (np.pi / 2 * num_b / den_b)[..., 1:]
     bad_a, bad_b = ~np.isfinite(a), ~np.isfinite(b)
     a[bad_a] = 0.0
     b[bad_b] = 0.0
@@ -267,8 +267,10 @@ def mie_amplitudes(mat, R, xi, l):
 
     Real-valued; built from modified spherical Bessel functions of
     arguments x = xi R / c and n(i xi) x. The electric amplitude satisfies
-    a_1 -> (2/3) x^3 (eps - 1)/(eps + 2) as x -> 0. Note the raw values
-    grow like e^{2x}; the energy code uses internally scaled versions.
+    a_1 -> (2/3) x^3 (eps - 1)/(eps + 2) as x -> 0; these are (-1)^l times
+    the amplitudes of the i_l/k_l basis (see the module docstring). Note
+    the raw values grow like e^{2x}; the energy code uses internally scaled
+    versions.
     DomainError where they overflow (x beyond about 355), and at x so
     small that the order-l quotient is not finite or the regular Riccati
     function of order l at x rounds to zero (x = 1e-20 at l = 1), where
@@ -276,10 +278,8 @@ def mie_amplitudes(mat, R, xi, l):
     """
     if l < 1:
         raise DomainError("multipole order must be >= 1")
-    if not 0 < xi < math.inf:
-        raise DomainError(f"imaginary frequency must be finite and > 0, got {xi!r}")
-    if not 0 < R < math.inf:
-        raise DomainError(f"radius must be finite and > 0, got {R!r}")
+    check_real("imaginary frequency", xi, 0, DomainError)
+    check_real("radius", R, 0, DomainError)
     events = Counter()
     a, b = _mie_scaled(mat, R, xi, l, events)
     x = xi * R / C_LIGHT
@@ -288,7 +288,7 @@ def mie_amplitudes(mat, R, xi, l):
     if events["mie_zeroed"] or not riccati_si(l, x)[0][l] >= np.finfo(float).tiny:
         raise DomainError(f"Mie amplitudes of order {l} underflow at x = xi R / c = {x:.3e}")
     with np.errstate(over="ignore", invalid="ignore"):
-        ab = np.array([a[l - 1], b[l - 1]]) * np.exp(2.0 * x)
+        ab = np.array([a[l - 1], b[l - 1]]) * ((-1.0) ** l * np.exp(2.0 * x))
     if not np.isfinite(ab).all():
         raise DomainError(f"Mie amplitudes of order {l} overflow at x = xi R / c = {x:.3e}")
     return float(ab[0]), float(ab[1])
@@ -357,10 +357,12 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
     for m in range(0, lmax + 1):
         lmin = max(1, m)
         n = lmax - lmin + 1
-        # M = R1 T12 R2 T21 with T21 = D T12^T D, D = diag(1_E, -1_M), is
-        # similar to N = diag(s_q) G diag(s_p) G^T, where q = D r1 and
-        # p = D r2 have the signs s_q, s_p and G = sqrt(damp |q|) T12
-        # sqrt(|p|) is well scaled, where M's entries reach 9e99
+        # M = R1 K R2 D K D, D = diag(1_E, -1_M), takes no parity factor:
+        # (-1)^l lives in mie_amplitudes and (-1)^(l+m) in
+        # translation_block (module docstring). M is similar to
+        # N = diag(s_q) G diag(s_p) G^T, where q = D r1 and p = D r2 have
+        # the signs s_q, s_p and G = sqrt(damp |q|) K sqrt(|p|) is well
+        # scaled, where M's entries reach 9e99
         q = np.concatenate([a1[:, lmin - 1:], -b1[:, lmin - 1:]], axis=1)
         p = np.concatenate([a2[:, lmin - 1:], -b2[:, lmin - 1:]], axis=1)
         row, col = root_damp * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))

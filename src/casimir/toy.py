@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blockmat
-from .core import C_LIGHT, HBAR, gauss_legendre_01
+from .core import C_LIGHT, HBAR, check_real, gauss_legendre_01
 from .errors import BranchJump, NotContraction
 from .scattering import (
     ScatteringMatrix,
@@ -43,6 +43,8 @@ def lossy_mirror(r, t, facing):
     'right' for the left mirror of a cavity, 'left' for the right one.
     The two loss ports from the dilation are external.
     """
+    check_real("mirror r", r)
+    check_real("mirror t", t)
     k = np.array([[r, 1j * t], [1j * t, r]], dtype=complex)
     try:
         u = blockmat.unitary_dilation(k)

@@ -399,7 +399,8 @@ class TestOptions:
 DRUDE = {"model": "drude", "omega_p": 1.37e16, "gamma": 5.3e13}
 # (command, config): configs whose values the CLI used to coerce, ignore or
 # crash on: a null, a list for an object, a misspelt key, a fractional count,
-# a string number, and an infinite toy band that printed numpy warnings
+# a string number, a bool for a number, and an infinite toy band that printed
+# numpy warnings
 MALFORMED = {
     "plane-fractional-quad": ("plane", {"quad": {"base_order": 8.5, "max_doublings": 1.5}}),
     "plane-fractional-doublings": ("plane", {"quad": {"max_doublings": 1.5}}),
@@ -414,17 +415,26 @@ MALFORMED = {
     "plane-list-quad": ("plane", {"quad": [64, 6, 1e-8]}),
     "plane-list-sweep": ("plane", {"sweep": [1e-7]}),
     "plane-string-tol": ("plane", {"quad": {"tol": "1e-8"}}),
+    "plane-bool-tol": ("plane", {"quad": {"tol": True}, "sweep": {"points": 1}}),
+    "plane-bool-L_min": ("plane", {"sweep": {"L_min": True, "points": 1}}),
+    "plane-bool-omega_p": ("plane", {"material1": {**DRUDE, "omega_p": True}}),
+    "plane-bool-gamma": ("plane", {"material1": {**DRUDE, "gamma": False}}),
     "sphere-misspelt": ("sphere", {"sphere": {"radius": 1e-7}}),
     "sphere-null-R1": ("sphere", {"sphere": {"R1": None}}),
     "sphere-list": ("sphere", {"sphere": [1e-7, 1e-7]}),
     "sphere-list-sweep": ("sphere", {"sweep": [1e-7]}),
     "sphere-string-R2": ("sphere", {"sphere": {"R2": "1e-7"}}),
     "sphere-fractional-points": ("sphere", {"sweep": {"points": 2.9}}),
+    "sphere-bool-R1": ("sphere", {"sphere": {"R1": True}}),
     "toy-misspelt": ("toy-dos", {"toy": {"loss": 0.1}}),
     "toy-null-L": ("toy-dos", {"toy": {"L": None}}),
     "toy-null-r": ("toy-dos", {"toy": {"r": None}}),
     "toy-list": ("toy-dos", {"toy": [1]}),
     "toy-string-r": ("toy-dos", {"toy": {"r": "0.9"}}),
+    "toy-bool-L": ("toy-dos", {"toy": {"L": True}}),
+    "toy-bool-r": ("toy-dos", {"toy": {"r": False}}),
+    "toy-bool-t": ("toy-dos", {"toy": {"t": False}}),
+    "toy-bool-band": ("toy-dos", {"toy": {"band": [True, 2.0]}}),
     "toy-infinite-band": ("toy-dos", {"toy": {"band": [0.5, float("inf")]}}),
     "verify-fractional": ("verify", {"trials": 2.5, "seed": 1.9}),
     "verify-fractional-seed": ("verify", {"seed": 1.9}),

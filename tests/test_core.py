@@ -12,7 +12,11 @@ from casimir.core import (
     integrate_semiinfinite,
     log_det_one_minus,
 )
-from casimir.errors import BranchRisk
+from casimir.errors import BranchRisk, DomainError
+from casimir.materials import VACUUM, ConstantEps, Drude, PerfectMirror
+from casimir.plane import PlaneSystem
+from casimir.sphere import SphereSystem, sphere_energy
+from casimir.toy import lossy_mirror
 
 
 class TestLogDetOneMinus:
@@ -203,6 +207,31 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             QuadratureSpec(**{field: value})
         QuadratureSpec(**{field: np.int64(9)})  # a numpy integer passes
+
+
+PEC = PerfectMirror()
+# a bool is an int, and numpy parses a numeric string into a float array, so
+# a range check alone lets both through
+REAL_INPUTS = {
+    "quad-tol": (ValueError, lambda v: QuadratureSpec(tol=v)),
+    "drude-omega_p": (ValueError, lambda v: Drude(v, 5.3e13)),
+    "constant-eps": (ValueError, lambda v: ConstantEps(v)),
+    "plane-L": (DomainError, lambda v: PlaneSystem(PEC, PEC, VACUUM, v)),
+    "sphere-R1": (DomainError, lambda v: SphereSystem(v, 1e-7, 1e-6, PEC, PEC)),
+    "sphere-L": (DomainError, lambda v: SphereSystem(1e-7, 1e-7, v, PEC, PEC)),
+    "sphere-lmax_tol": (ValueError, lambda v: sphere_energy(
+        SphereSystem(1e-7, 1e-7, 1e-6, PEC, PEC), lmax_tol=v)),
+    "mirror-r": (ValueError, lambda v: lossy_mirror(v, 0.3, "right")),
+    "mirror-t": (ValueError, lambda v: lossy_mirror(0.9, v, "right")),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.9"], ids=["bool", "string"])
+@pytest.mark.parametrize("case", sorted(REAL_INPUTS))
+def test_real_inputs_refuse_bools_and_strings(case, value):
+    error, build = REAL_INPUTS[case]
+    with pytest.raises(error, match="must be a real number"):
+        build(value)
 
 
 class TestEnergyResult:

@@ -14,7 +14,6 @@ from casimir.materials import (
     eps_imag_axis,
     eps_real_axis,
     material_from_dict,
-    refractive_index,
 )
 
 # gold-like reference parameters used throughout
@@ -80,42 +79,6 @@ class TestEpsImagAxis:
             ConstantEps(0.5)
         with pytest.raises(ValueError):
             Drude(-1.0, 0.0)
-
-
-class TestRefractiveIndex:
-    def test_vacuum(self):
-        assert refractive_index(VACUUM, 1e15) == 1.0
-
-    def test_constant_eps_four(self):
-        assert refractive_index(ConstantEps(4.0), 1e15) == 2.0
-
-    def test_drude_below_plasma_attenuates(self):
-        # oracle: direct complex square root of the Drude permittivity
-        for w in (0.1 * WP, 0.5 * WP, 0.9 * WP):
-            n = refractive_index(Drude(WP, GAMMA), w)
-            eps = 1.0 - WP**2 / (w * (w + 1j * GAMMA))
-            direct = np.sqrt(eps)
-            if direct.imag < 0:
-                direct = -direct
-            assert n == pytest.approx(direct, rel=1e-14)
-            assert n.imag > 0
-
-    def test_imaginary_axis_real_and_ge_one(self):
-        for xi in np.geomspace(1e12, 1e17, 40):
-            n = refractive_index(Drude(WP, GAMMA), 1j * xi)
-            assert abs(n.imag) < 1e-9 * abs(n)
-            assert n.real >= 1.0
-
-    def test_branch_upper_half_plane(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            w = rng.uniform(1e13, 1e17) + 1j * rng.uniform(0, 1e16)
-            n = refractive_index(Lorentz(2e15, 6e15, 1e13), w)
-            assert n.imag >= -1e-12
-
-    def test_perfect_mirror_rejected(self):
-        with pytest.raises(DomainError):
-            refractive_index(PerfectMirror(), 1e15)
 
 
 class TestEpsRealAxis:

@@ -21,7 +21,6 @@ from casimir.scattering import (
     dos_change,
     eigenphases,
     matched_phase_increment,
-    phase_shift,
     promote_internal,
     round_trip,
     round_trip_series,
@@ -371,23 +370,6 @@ class TestChain3:
         assert np.allclose(via_chain.ee, expected, atol=1e-11)
 
 
-class TestPhaseShift:
-    def test_identity(self):
-        assert phase_shift(ScatteringMatrix.from_full(np.eye(3), 1)) == 0
-
-    def test_scalar_phase(self):
-        s = ScatteringMatrix.from_full(np.array([[np.exp(0.8j)]]), 0)
-        assert phase_shift(s) == pytest.approx(0.4, abs=1e-14)
-
-    def test_haar_double_phase_matches_logdet(self):
-        u = random_unitary(4, seed=12)
-        val = phase_shift(ScatteringMatrix.from_full(u, 2))
-        # 2 * phase = arg det S modulo 2 pi
-        lhs = np.exp(2j * val)
-        rhs = np.exp(1j * logdet(u).imag)
-        assert abs(lhs - rhs) < 1e-12
-
-
 class TestDosChange:
     def test_omega_independent(self):
         u = random_unitary(3, seed=6)
@@ -491,10 +473,9 @@ class TestStacks:
         for i in np.ndindex(3, 2):
             assert_close(sl.full[i], translation_scatterer(t[i]).full)
 
-    def test_phase_shift_and_matched_increment(self):
+    def test_matched_increment(self):
         u = np.stack([random_unitary(4, s) for s in range(6)])
         v = np.stack([x @ random_unitary(4, 1000 + s) for s, x in enumerate(u)])
-        assert_close(phase_shift(u), [phase_shift(x) for x in u])
         delta, worst = matched_phase_increment(eigenphases(u), eigenphases(v))
         for i in range(6):
             single = matched_phase_increment(eigenphases(u[i]), eigenphases(v[i]))

@@ -11,7 +11,6 @@ from casimir.errors import DomainError, NotConverged
 from casimir.materials import ConstantEps, Drude, PerfectMirror
 from casimir.sphere import (
     SphereSystem,
-    _axial_sums,
     _round_trip_logdet_sum,
     _safe_w_floor,
     mie_amplitudes,
@@ -19,16 +18,28 @@ from casimir.sphere import (
     translation_block,
     wigner3j,
 )
-from casimir.spherical_bessel import sk_array
 
 PEC = PerfectMirror()
 
 
-def _scaled_blocks(lmax, m, w):
-    """(l_min, A, C) of the +z translation m-block at w = xi L / c with
-    the e^{-w} decay factored out, from the package's translation sums."""
-    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
-    return max(1, abs(m)), a[0], c[0]
+def _round_trip(sys_, xi, lmax, m):
+    """The m-block of M = R1 T12 R2 T21 from the public views alone: T12
+    from ``translation_block`` (its sign of m flipping the mixing blocks),
+    its reverse T21 as the parity image P T12 P, P = diag((-1)^l, -(-1)^l),
+    and the amplitudes of the i_l/k_l basis, (-1)^l (a_l, b_l) from
+    ``mie_amplitudes``."""
+    lmin = max(1, abs(m))
+    ls = np.arange(lmin, lmax + 1)
+    d = np.repeat([1.0, -1.0], ls.size)
+    parity = np.tile((-1.0) ** ls, 2)
+    p = d * parity
+    t12 = translation_block(lmax, m, xi, sys_.L)
+    if m < 0:
+        t12 = d[:, None] * t12 * d
+    t21 = p[:, None] * t12 * p
+    r1, r2 = (np.array([mie_amplitudes(mat, R, xi, l) for l in ls]).T.ravel() * parity
+              for mat, R in ((sys_.mat1, sys_.R1), (sys_.mat2, sys_.R2)))
+    return (r1[:, None] * t12) @ (r2[:, None] * t21)
 
 
 class TestWigner3j:
@@ -244,16 +255,6 @@ class TestTranslationBlock:
         assert c_prod == pytest.approx((2 / np.pi) * (-1j * B_ref[lp]).real, rel=2e-6)
         assert abs(A_ref[lp].imag) < 1e-8 * max(abs(A_ref[lp]), 1e-30)
 
-    def test_reverse_direction_parity(self):
-        xi, L = 8e14, 2e-6
-        fwd = translation_block(3, 1, xi, L, direction=+1)
-        rev = translation_block(3, 1, xi, L, direction=-1)
-        n = 3
-        ls = np.arange(1, 4)
-        par = (-1.0) ** (ls[:, None] + ls[None, :])
-        assert np.allclose(rev[:n, :n], fwd[:n, :n] * par, rtol=1e-13)
-        assert np.allclose(rev[:n, n:], -fwd[:n, n:] * par, rtol=1e-13)
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             translation_block(2, 3, 1e15, 1e-6)
@@ -329,33 +330,14 @@ class TestSphereEnergy:
     def test_m_block_decomposition(self):
         # total log-det equals the log-det of the assembled block-diagonal
         # matrix over all m in [-lmax, lmax] at lmax = 2
-        from casimir.sphere import _mie_scaled
         import scipy.linalg
 
         sys_ = SphereSystem(1e-7, 1.5e-7, 1.1e-6, PEC, PEC, lmax=2)
         xi = 8e14
         lmax = 2
         total = _round_trip_logdet_sum(sys_, xi, lmax)
-        w = xi * sys_.L / C_LIGHT
-        x1 = xi * sys_.R1 / C_LIGHT
-        x2 = xi * sys_.R2 / C_LIGHT
-        a1, b1 = _mie_scaled(sys_.mat1, sys_.R1, xi, lmax)
-        a2, b2 = _mie_scaled(sys_.mat2, sys_.R2, xi, lmax)
-        damp = np.exp(2 * (x1 + x2 - w))
-        blocks = []
-        for m in range(-lmax, lmax + 1):
-            lmin, a12, c12 = _scaled_blocks(lmax, m, w)
-            if m < 0:
-                c12 = -c12  # -m flips the polarization-mixing sign
-            sl = slice(lmin - 1, lmax)
-            r1 = np.concatenate([a1[sl], b1[sl]])
-            r2 = np.concatenate([a2[sl], b2[sl]])
-            ls = np.arange(lmin, lmax + 1)
-            par = (-1.0) ** (ls[:, None] + ls[None, :])
-            t12 = np.block([[a12, c12], [c12, a12]])
-            t21 = np.block([[a12 * par, -c12 * par], [-c12 * par, a12 * par]])
-            blocks.append((r1[:, None] * t12) @ (r2[:, None] * t21) * damp)
-        full = scipy.linalg.block_diag(*blocks)
+        full = scipy.linalg.block_diag(
+            *(_round_trip(sys_, xi, lmax, m) for m in range(-lmax, lmax + 1)))
         expected = np.sum(np.log(np.linalg.eigvals(np.eye(full.shape[0]) - full))).real
         assert total == pytest.approx(expected, rel=1e-10)
 
@@ -399,21 +381,81 @@ class TestSphereEnergy:
         assert res.value < 0 and res.metadata["lmax"] == 2
 
 
+def _pec_series(R1, R2, L, terms=4):
+    """Large-L series of two perfect-conductor spheres,
+
+        E = -(hbar c / pi) (R1^3 R2^3 / L^7) [143/16
+            + (7947/320) (R1^2 + R2^2) / L^2 + (2065/64) (R1^3 + R2^3) / L^3
+            + (27705347/100800) R^4 / L^4 (equal radii only)].
+
+    Each power of 1/L beyond the first pairs the radii symmetrically
+    (powers of xi R1 and xi R2 from either sphere), so the equal-radius
+    coefficients 7947/160 and 2065/32 split in halves. At order R^9 only
+    the dipoles contribute: c3 = (1/2)[(2 a3 + b3/2) M_EE + (a3 + b3) M_EM]
+    = 2065/32, from the x^3 terms a3 = 2/3, b3 = -1/3 of the dipole
+    amplitudes and the w^3 moments M_EE = 735/8, M_EM = 525/8 of the
+    Casimir-Polder kernels."""
+    bracket = [143 / 16, 7947 / 320 * (R1**2 + R2**2) / L**2,
+               2065 / 64 * (R1**3 + R2**3) / L**3]
+    if terms == 4:
+        assert R1 == R2
+        bracket.append(27705347 / 100800 * R1**4 / L**4)
+    return -HBAR * C_LIGHT / np.pi * R1**3 * R2**3 / L**7 * sum(bracket[:terms])
+
+
+class TestBeyondDipoleOrder:
+    """Energies whose multipoles beyond l = 1 matter: the large-L series
+    of perfect-conductor pairs and the approach to the proximity limit.
+    At lmax 1 no relative sign of multipoles of opposite parity enters."""
+
+    QUAD = QuadratureSpec(base_order=32, tol=1e-7)
+
+    @pytest.mark.parametrize("ratio,lmax,bound", [(50, 2, 1e-5), (20, 4, 5e-5), (10, 6, 5e-4)])
+    def test_equal_spheres_follow_the_series(self, ratio, lmax, bound):
+        R = 1e-7
+        res = sphere_energy(SphereSystem(R, R, ratio * R, PEC, PEC, lmax=lmax), self.QUAD,
+                            adaptive_lmax=False)
+        assert abs(res.value / _pec_series(R, R, ratio * R) - 1) <= bound
+
+    @pytest.mark.parametrize("R2", [5e-8, 2e-8])
+    def test_unequal_spheres(self, R2):
+        R1, L = 1e-7, 5e-6
+        a, b = (sphere_energy(SphereSystem(r1, r2, L, PEC, PEC, lmax=2), self.QUAD,
+                              adaptive_lmax=False).value for r1, r2 in ((R1, R2), (R2, R1)))
+        assert b == pytest.approx(a, rel=1e-12)
+        # the leading term, exceeded by the positive (R/L)^2 correction
+        assert 0 < a / _pec_series(R1, R2, L, terms=1) - 1 < 2e-3
+        assert abs(a / _pec_series(R1, R2, L, terms=3) - 1) <= 1e-5
+
+    def test_pfa_ratio_rises_as_the_gap_closes(self):
+        # E_PFA = -pi^3 hbar c R1 R2 / (720 (R1 + R2) d^2), d = L - R1 - R2
+        R = 1e-7
+        ratios = []
+        for L in (4 * R, 3 * R, 2.5 * R):
+            pfa = -np.pi**3 * HBAR * C_LIGHT * R / (1440 * (L - 2 * R) ** 2)
+            ratios.append(sphere_energy(SphereSystem(R, R, L, PEC, PEC)).value / pfa)
+        assert 0 < ratios[0] < ratios[1] < ratios[2] < 1
+
+
 class TestRescaledRoundTrip:
     """The energy loop takes log det(1 - N), N = diag(s_q) G diag(s_p) G^T,
-    for log det(1 - M), M = R1 T12 R2 T21; N is similar to M because the
-    reverse translation is T21 = D T12^T D, D = diag(1_E, -1_M)."""
+    for log det(1 - M), M = R1 T12 R2 T21 (``_round_trip``); N is similar
+    to M because the reverse translation is T21 = D T12^T D,
+    D = diag(1_E, -1_M)."""
 
     @pytest.mark.parametrize("lmax", range(1, 13))
     def test_reverse_translation_is_reflected_transpose(self, lmax):
+        # the reverse translation is the parity image P T12 P,
+        # P = diag((-1)^l, -(-1)^l)
         L = 1e-6
         for w in (1e-3, 0.1, 1.0, 7.0, 30.0):
             xi = w * C_LIGHT / L
             for m in range(-lmax, lmax + 1):
-                fwd = translation_block(lmax, m, xi, L, +1)
+                fwd = translation_block(lmax, m, xi, L)
                 d = np.ones(len(fwd))
                 d[len(fwd) // 2:] = -1.0
-                rev = translation_block(lmax, m, xi, L, -1)
+                p = d * np.tile((-1.0) ** np.arange(max(1, abs(m)), lmax + 1), 2)
+                rev = p[:, None] * fwd * p
                 err = np.abs(rev - d[:, None] * fwd.T * d).max()
                 assert err <= 1e-14 * np.abs(fwd).max()
 
@@ -423,25 +465,12 @@ class TestRescaledRoundTrip:
         SphereSystem(1.5e-7, 1e-7, 3.2e-7, ConstantEps(4.0), ConstantEps(9.0)),
     ], ids=["pec", "drude", "unequal-eps"])
     def test_log_det_equals_that_of_the_round_trip(self, sys_):
-        from casimir.sphere import _mie_scaled
-
         lmax = 8
         for w in (0.3, 1.0, 3.0, 10.0, 30.0):
             xi = w * C_LIGHT / sys_.L
-            a1, b1 = _mie_scaled(sys_.mat1, sys_.R1, xi, lmax)
-            a2, b2 = _mie_scaled(sys_.mat2, sys_.R2, xi, lmax)
-            damp = np.exp(2 * xi * (sys_.R1 + sys_.R2 - sys_.L) / C_LIGHT)
             want = 0.0
             for m in range(-lmax, lmax + 1):
-                lmin, a12, c12 = _scaled_blocks(lmax, m, w)
-                sl = slice(lmin - 1, lmax)
-                r1 = np.concatenate([a1[sl], b1[sl]])
-                r2 = np.concatenate([a2[sl], b2[sl]])
-                ls = np.arange(lmin, lmax + 1)
-                par = (-1.0) ** (ls[:, None] + ls[None, :])
-                t12 = np.block([[a12, c12], [c12, a12]])
-                t21 = np.block([[a12 * par, -c12 * par], [-c12 * par, a12 * par]])
-                z = -np.linalg.eigvals((r1[:, None] * t12) @ (r2[:, None] * t21) * damp)
+                z = -np.linalg.eigvals(_round_trip(sys_, xi, lmax, m))
                 want += np.sum(0.5 * np.log1p(2 * z.real + np.abs(z) ** 2))
             # an LU factorisation of 1 - N rounds its diagonal: an absolute
             # error of a few eps per m-block

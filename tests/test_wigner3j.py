@@ -98,7 +98,9 @@ def test_orthogonality_to_j_200(j):
 
 def _loop_coefficients(lmax, m):
     """The m-block's cA, cC by the element-by-element loop the package
-    used before its vectorised build, fed with sympy's exact 3j symbols."""
+    used before its vectorised build, fed with sympy's exact 3j symbols.
+    It fills both triangles, so it also checks that the coefficients are
+    symmetric in l <-> l'."""
     lmin = max(1, m)
     n = lmax - lmin + 1
     cA = np.zeros((n, n, 2 * lmax + 2))
@@ -106,8 +108,7 @@ def _loop_coefficients(lmax, m):
     for il, l in enumerate(range(lmin, lmax + 1)):
         for ilp, lp in enumerate(range(lmin, lmax + 1)):
             norm = (
-                (-1) ** (l + m)
-                * np.sqrt((2 * l + 1) * (2 * lp + 1))
+                np.sqrt((2 * l + 1) * (2 * lp + 1))
                 / (2.0 * np.sqrt(l * (l + 1) * lp * (lp + 1)))
                 * (2.0 / np.pi)
             )
@@ -131,15 +132,15 @@ def _loop_coefficients(lmax, m):
 def _full_tensors(lmax, m, pairs):
     """(l_min, cA, cC) as (n, n, 2 lmax + 2) tensors from the coefficients
     (cA, cC) of the pairs l' <= l, filled in entry by entry with the
-    reciprocity c[l, l'] = (-1)^(l + l') c[l', l]."""
-    lps, ls, _, _ = _pairs(lmax, m)
+    symmetry c[l, l'] = c[l', l]."""
+    lps, ls, _ = _pairs(lmax, m)
     lmin = max(1, m)
     n = lmax - lmin + 1
     full = np.zeros((2, n, n, 2 * lmax + 2))
     for k, (lp, l) in enumerate(zip(lps, ls)):
         for tensor, pair in zip(full, pairs):
             tensor[lp - lmin, l - lmin] = pair[k]
-            tensor[l - lmin, lp - lmin] = (-1) ** (l + lp) * pair[k]
+            tensor[l - lmin, lp - lmin] = pair[k]
     return lmin, full[0], full[1]
 
 
@@ -177,7 +178,7 @@ def test_large_block_sums_match_its_tensors(m):
     # comes from the cache
     for lmax, cached in ((40, False), (12, True)):
         sk = sk_array(2 * lmax + 1, np.array([0.5, 2.0, 9.0]))
-        lps, ls, _, _ = _pairs(lmax, m)
+        lps, ls, _ = _pairs(lmax, m)
         pairs = _pair_coeffs(lmax, m, lps, ls)
         assert (16 * pairs[0].size <= 2**19) == cached
         _, cA, cC = _full_tensors(lmax, m, pairs)
