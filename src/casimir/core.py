@@ -188,11 +188,15 @@ def gauss_legendre_01(order):
 def refine_order(evaluate, quad: QuadratureSpec):
     """Gauss-Legendre order doubling shared by every order-refined integral.
 
-    ``evaluate(u, w)`` integrates with the nodes and weights of
-    ``gauss_legendre_01`` at orders ``quad.base_order``, twice that, and so
-    on, until two successive values differ by at most ``quad.tol``
-    relative. It may return a 1-d stack of integrals on the same nodes,
-    which is refined until each of them meets the tolerance.
+    The orders are ``quad.base_order``, twice that, and so on, until two
+    successive values differ by at most ``quad.tol`` relative.
+    ``evaluate(rules)`` integrates with each ``(u, w)`` of the list
+    ``rules``, nodes and weights of ``gauss_legendre_01``, and returns one
+    value per rule. Its first call carries the first two orders (only the
+    first when ``quad.max_doublings`` is 0), since one order gives no error
+    estimate; each later call carries one order. A value may be a 1-d stack
+    of integrals on the same nodes, which is refined until each of them
+    meets the tolerance.
 
     Returns
     -------
@@ -202,15 +206,14 @@ def refine_order(evaluate, quad: QuadratureSpec):
         ``converged`` is False, and nothing is raised, when
         ``quad.max_doublings`` doublings did not meet the tolerance.
     """
+    orders = [quad.base_order * 2**k for k in range(quad.max_doublings + 1)]
     history = []
-    order = quad.base_order
-    for _ in range(quad.max_doublings + 1):
-        value = evaluate(*gauss_legendre_01(order))
-        err = abs(value - history[-1][1]) if history else abs(value) + np.inf
-        history.append((order, value))
+    for batch in [orders[:2], *([order] for order in orders[2:])]:
+        for order, value in zip(batch, evaluate([gauss_legendre_01(o) for o in batch])):
+            err = abs(value - history[-1][1]) if history else abs(value) + np.inf
+            history.append((order, value))
         if len(history) > 1 and np.all(err <= quad.tol * np.maximum(abs(value), 1e-300)):
             return value, err, history, True
-        order *= 2
     return value, err, history, False
 
 
@@ -220,14 +223,21 @@ def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0
 
     ``f`` must accept an ndarray of xi values and return the integrand
     values elementwise, or a (k, nodes) stack of k integrands on those
-    nodes; each is summed along its last axis. Returns as ``refine_order``:
-    the value is a float, or a (k,) array for a stack.
+    nodes. It is called once per call of ``evaluate``, on the nodes of all
+    its rules at once, and each rule sums its own slice along the last axis
+    with its own weights. Returns as ``refine_order``: the value is a float,
+    or a (k,) array for a stack.
     """
 
-    def evaluate(u, w):
-        xi, weights = scale * u / (1.0 - u), w * (scale / (1.0 - u) ** 2)
-        total = np.sum(weights * np.asarray(f(xi), dtype=float), axis=-1)
-        return total if total.ndim else float(total)
+    def evaluate(rules):
+        u = np.concatenate([u for u, _ in rules])
+        values = np.asarray(f(scale * u / (1.0 - u)), dtype=float)
+        out, lo = [], 0
+        for u, w in rules:
+            total = np.sum(w * (scale / (1.0 - u) ** 2) * values[..., lo:lo + len(u)], axis=-1)
+            out.append(total if total.ndim else float(total))
+            lo += len(u)
+        return out
 
     return refine_order(evaluate, quad)
 
@@ -256,7 +266,8 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
         pass and ``lmax_check`` as the last nested check (lmax', value') of
         a converged pass (None, [] and None for plates; ``lmax_check`` is
         None where no check ran), ``events`` (``EVENTS``, as counted by the
-        last ``integrate``) and ``warnings``.
+        last ``integrate``: over every node of the final lmax pass) and
+        ``warnings``.
 
     Raises
     ------

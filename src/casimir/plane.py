@@ -161,10 +161,10 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
         # dxi = (c/L) 2 t dt and dkappa = ds/L
         return HBAR * C_LIGHT / (2 * np.pi**2 * sys.L**2) * float((t * jt) @ grid @ jt)
 
-    return energy(
-        lambda lmax, events: (*refine_order(evaluate, quad), None),
-        warnings=_warnings(sys), geometry="plane", axis="imaginary",
-    )
+    def integrate(lmax, events):
+        return (*refine_order(lambda rules: [evaluate(u, w) for u, w in rules], quad), None)
+
+    return energy(integrate, warnings=_warnings(sys), geometry="plane", axis="imaginary")
 
 
 def _real_axis_channel_values(sys: PlaneSystem, q, omega):
@@ -321,7 +321,8 @@ def energy_per_area_real_axis(
         if quad.tol < 1e-4:
             events["tol_floored"] += 1
         value, err, history, converged = refine_order(
-            evaluate, replace(quad, tol=max(quad.tol, 1e-4)))
+            lambda rules: [evaluate(v, wv) for v, wv in rules],
+            replace(quad, tol=max(quad.tol, 1e-4)))
         return value, err + inner_errs[-1] + q_tail, history, converged, None
 
     return energy(integrate, warnings=_warnings(sys), geometry="plane",

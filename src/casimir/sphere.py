@@ -310,8 +310,13 @@ def _safe_w_floor(lmax):
 _STACK_BYTES = 1 << 19
 
 
-def _log_det_n(g, s_p, s_q):
-    """log det(1 - N) of a stack of N = diag(s_q) G diag(s_p) G^T."""
+def _log_det_n(g, signs=None):
+    """log det(1 - N) of a stack of N = G G^T, whose product numpy takes as
+    one symmetric rank-k update, or, given ``signs`` = (s_q, s_p), of
+    N = diag(s_q) G diag(s_p) G^T."""
+    if signs is None:
+        return log_det_one_minus(g @ g.transpose(0, 2, 1)).real
+    s_q, s_p = signs
     nn = (g * s_p) @ g.transpose(0, 2, 1)
     nn *= s_q
     return log_det_one_minus(nn).real
@@ -351,27 +356,31 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
     # common exponential: Mie e^{2x} growth against translation e^{-w} decay
     damp = np.exp(2.0 * (x1 + x2 - w))
     sk = sk_array(2 * lmax + 1, w)
-    root_damp = np.sqrt(damp)[:, None]
+    # M = R1 K R2 D K D, D = diag(1_E, -1_M), takes no parity factor:
+    # (-1)^l lives in mie_amplitudes and (-1)^(l+m) in translation_block
+    # (module docstring). M is similar to N = diag(s_q) G diag(s_p) G^T,
+    # where q = D r1 and p = D r2 have the signs s_q, s_p and
+    # G = sqrt(damp |q|) K sqrt(|p|) is well scaled, where M's entries
+    # reach 9e99. Every accepted sphere has q <= 0 up to rounding, which
+    # leaves amplitudes of either sign in a nearly vacuum one
+    # (tests/test_sphere_properties.py); where none is > 0, N = G G^T.
+    q = np.concatenate([a1, -b1], axis=1)
+    p = np.concatenate([a2, -b2], axis=1)
+    rows, cols = np.sqrt(damp)[:, None] * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))
+    signed = (q > 0).any() or (p > 0).any()
     total = np.zeros(nodes.size)
     sub_total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
         lmin = max(1, m)
         n = lmax - lmin + 1
-        # M = R1 K R2 D K D, D = diag(1_E, -1_M), takes no parity factor:
-        # (-1)^l lives in mie_amplitudes and (-1)^(l+m) in
-        # translation_block (module docstring). M is similar to
-        # N = diag(s_q) G diag(s_p) G^T, where q = D r1 and p = D r2 have
-        # the signs s_q, s_p and G = sqrt(damp |q|) K sqrt(|p|) is well
-        # scaled, where M's entries reach 9e99
-        q = np.concatenate([a1[:, lmin - 1:], -b1[:, lmin - 1:]], axis=1)
-        p = np.concatenate([a2[:, lmin - 1:], -b2[:, lmin - 1:]], axis=1)
-        row, col = root_damp * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))
-        s_q, s_p = np.sign(q)[:, :, None], np.sign(p)[:, None, :]
-        # the block's k multipoles l <= lmax' of each polarization
+        # the block's multipoles l >= lmin of each polarization, and of
+        # those the k with l <= lmax'
+        block = np.r_[lmin - 1:lmax, lmax + lmin - 1:2 * lmax]
         k = 0 if nested is None else max(0, nested - lmin + 1)
-        if k:
-            keep = np.r_[:k, n:n + k]
-            s_qk, s_pk = s_q[:, keep], s_p[..., keep]
+        keep = np.r_[:k, n:n + k]
+        row, col = rows[:, block], cols[:, block]
+        if signed:
+            s_q, s_p = np.sign(q[:, block])[:, :, None], np.sign(p[:, block])[:, None, :]
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
         for sl, a12, c12 in _axial_sums(lmax, m, sk, step):
@@ -380,12 +389,15 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
             g[:, :n, n:] = g[:, n:, :n] = c12
             g *= row[sl, :, None]
             g *= col[sl, None, :]
-            total[sl] += weight * _log_det_n(g, s_p[sl], s_q[sl])
+            signs = (s_q[sl], s_p[sl]) if signed else None
+            total[sl] += weight * _log_det_n(g, signs)
             if k:
                 gk = g.reshape(-1, 2, n, 2, n)[:, :, :k, :, :k].reshape(-1, 2 * k, 2 * k)
-                sub_total[sl] += weight * _log_det_n(gk, s_pk[sl], s_qk[sl])
+                if signed:
+                    signs = (signs[0][:, keep], signs[1][..., keep])
+                sub_total[sl] += weight * _log_det_n(gk, signs)
             # drop this slice's stacks before the next slice is built
-            a12 = c12 = g = gk = None
+            a12 = c12 = g = gk = signs = None
 
     def shaped(t):
         return float(t[0]) if xi.ndim == 0 else t
@@ -404,21 +416,25 @@ def sphere_energy(
 
     E = hbar/(2 pi) int_0^inf dxi sum_m log det(1 - M_m(i xi))
 
-    with the round trip M_m = R1 T12 R2 T21 built from the Mie blocks and
-    the axial translation blocks truncated at lmax, and xi = c/(2 gap)
-    u/(1-u). The truncation order starts at ``sys.lmax`` (or the gap-based
-    default). Unless ``adaptive_lmax`` is off, each quadrature pass at lmax
-    also sums the energy at lmax' = min(ceil(3 lmax / 4), lmax - 1) from
-    the same round trips (the l <= lmax' sub-blocks of each G), and its
-    quadrature refines both sums until each meets ``quad.tol``; the pass
-    converges when the two differ by at most ``lmax_tol`` relative, and
-    lmax doubles otherwise, up to ``max_lmax_doublings`` times. That
-    difference joins the error estimate.
+    with the round trip M_m = R1 K R2 D K D (module docstring) built from
+    the Mie blocks and the axial translation blocks truncated at lmax, and
+    xi = c/(2 gap) u/(1-u). The truncation order starts at ``sys.lmax`` (or
+    the gap-based default). Unless ``adaptive_lmax`` is off, each quadrature
+    pass at lmax also sums the energy at lmax' = min(ceil(3 lmax / 4),
+    lmax - 1) from the same round trips (the l <= lmax' sub-blocks of each
+    G), and its quadrature refines both sums until each meets ``quad.tol``;
+    the pass converges when the two differ by at most ``lmax_tol``
+    relative, and lmax doubles otherwise, up to ``max_lmax_doublings``
+    times. That difference joins the error estimate.
+
+    Each call of the integrand evaluates every node of its quadrature
+    orders at once (``core.refine_order``): a pass that converges at the
+    first two orders builds its translation sums and Mie amplitudes once.
 
     Returns and raises as ``core.energy``: value in J (negative for passive
-    spheres); ``events`` counts, over the last quadrature pass, the nodes
-    raised to the small-w floor (``xi_clamped``) and the non-finite Mie
-    amplitudes set to zero (``mie_zeroed``).
+    spheres); ``events`` counts, over every node of the final lmax pass,
+    the nodes raised to the small-w floor (``xi_clamped``) and the
+    non-finite Mie amplitudes set to zero (``mie_zeroed``).
     """
     prefactor = HBAR / (2.0 * np.pi)
     scale = C_LIGHT / (2.0 * sys.gap)
@@ -427,7 +443,6 @@ def sphere_energy(
         nested = min(math.ceil(0.75 * lmax), lmax - 1) if adaptive_lmax else None
 
         def f(xi):
-            events.clear()
             return prefactor * np.asarray(_round_trip_logdet_sum(sys, xi, lmax, events, nested))
 
         value, err, history, converged = integrate_semiinfinite(f, quad, scale=scale)

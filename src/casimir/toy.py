@@ -22,7 +22,7 @@ import numpy as np
 
 from . import blockmat
 from .core import C_LIGHT, HBAR, check_real, gauss_legendre_01
-from .errors import BranchJump, NotContraction
+from .errors import BranchJump, DomainError, NotContraction
 from .scattering import (
     ScatteringMatrix,
     eigenphases,
@@ -60,8 +60,9 @@ def cavity(omega, L, r, t, mirrors=None):
     of frequencies, the stacks of both.
 
     ``mirrors`` allows reusing the (frequency-independent) mirror pair
-    across calls.
+    across calls. DomainError unless the length ``L`` is a real number > 0.
     """
+    check_real("L", L, 0, DomainError)
     if mirrors is None:
         mirrors = (lossy_mirror(r, t, "right"), lossy_mirror(r, t, "left"))
     m1, m2 = mirrors
@@ -109,8 +110,10 @@ def band_energies(L, r, t, band, panels=None, order=16):
     dphi is the branch-continuous phase shift of the cavity; deta its
     frequency derivative over pi. The band is integrated by composite
     Gauss-Legendre panels sized to resolve the cavity resonances
-    (width ~ (1 - r^2) c / L).
+    (width ~ (1 - r^2) c / L). DomainError unless the length ``L`` is a
+    real number > 0.
     """
+    check_real("L", L, 0, DomainError)
     a, b = band
     if not 0 < a < b:
         raise ValueError("band must satisfy 0 < a < b")

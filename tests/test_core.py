@@ -191,6 +191,37 @@ class TestIntegrateSemiInfinite:
         assert (value[1], err[1]) == single[1][:2]
         assert np.all(err <= spec.tol * np.abs(value))
 
+    @pytest.mark.parametrize("max_doublings, calls", [
+        (0, [[8]]), (1, [[8, 16]]), (4, [[8, 16], [32], [64], [128]]),
+    ])
+    def test_first_call_carries_two_rules(self, max_doublings, calls):
+        """refine_order asks for the first two orders in one call, since
+        one order gives no error estimate, and for one order per call after
+        that; the history is the same as one order per call."""
+        seen = []
+
+        def evaluate(rules):
+            seen.append([len(u) for u, _ in rules])
+            return [float(np.sum(w * np.exp(-u) * np.cos(40 * u))) for u, w in rules]
+
+        spec = QuadratureSpec(base_order=8, max_doublings=max_doublings, tol=1e-300)
+        value, err, history, converged = core.refine_order(evaluate, spec)
+        assert seen == calls and not converged
+        assert [order for order, _ in history] == [o for batch in calls for o in batch]
+        assert value == history[-1][1]
+        assert err == (abs(value - history[-2][1]) if len(history) > 1 else np.inf)
+
+    def test_one_integrand_call_for_two_rules(self):
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.exp(-x)
+
+        _, _, history, converged = integrate_semiinfinite(f, QuadratureSpec(base_order=32))
+        assert converged and [order for order, _ in history] == [32, 64]
+        assert calls == [96]
+
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(base_order=4)

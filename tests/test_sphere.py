@@ -441,7 +441,7 @@ class TestRescaledRoundTrip:
     """The energy loop takes log det(1 - N), N = diag(s_q) G diag(s_p) G^T,
     for log det(1 - M), M = R1 T12 R2 T21 (``_round_trip``); N is similar
     to M because the reverse translation is T21 = D T12^T D,
-    D = diag(1_E, -1_M)."""
+    D = diag(1_E, -1_M). Where no amplitude is > 0, N = G G^T."""
 
     @pytest.mark.parametrize("lmax", range(1, 13))
     def test_reverse_translation_is_reflected_transpose(self, lmax):
@@ -463,7 +463,10 @@ class TestRescaledRoundTrip:
         SphereSystem(1e-7, 1e-7, 2.6e-7, PEC, PEC),
         SphereSystem(1e-7, 1e-7, 3e-7, Drude(1.37e16, 5.3e13), Drude(1.37e16, 5.3e13)),
         SphereSystem(1.5e-7, 1e-7, 3.2e-7, ConstantEps(4.0), ConstantEps(9.0)),
-    ], ids=["pec", "drude", "unequal-eps"])
+        # eps(i xi) - 1 below 1e-9: amplitudes of either sign from rounding,
+        # which N keeps
+        SphereSystem(1e-7, 1e-7, 3e-7, Drude(1e10, 1e20), PEC),
+    ], ids=["pec", "drude", "unequal-eps", "nearly-vacuum"])
     def test_log_det_equals_that_of_the_round_trip(self, sys_):
         lmax = 8
         for w in (0.3, 1.0, 3.0, 10.0, 30.0):

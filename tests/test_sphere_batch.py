@@ -141,6 +141,40 @@ class TestNestedTruncation:
         assert res.value < 0
 
 
+class TestOneCallPerPass:
+    """A quadrature pass that converges at its first two orders evaluates
+    the sphere integrand once, on the nodes of both orders."""
+
+    def test_round_trip_called_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(np.size(args[1]))
+            return _round_trip_logdet_sum(*args)
+
+        monkeypatch.setattr(sphere, "_round_trip_logdet_sum", spy)
+        res = sphere_energy(SphereSystem(1e-7, 1e-7, 3e-7, PEC, PEC, lmax=6),
+                            adaptive_lmax=False)
+        assert res.metadata["orders"] == [32, 64]
+        assert calls == [96]
+
+    @pytest.mark.parametrize("nested", [None, 22])
+    def test_concatenated_nodes_equal_separate_calls(self, nested):
+        """At lmax 30 the blocks with n >= 25 are built in chunks on every
+        call; the sums of one node do not depend on the other nodes."""
+        sys_ = SphereSystem(1e-7, 1e-7, 2.5e-7, PEC, PEC)
+        xi = [C_LIGHT / (2 * sys_.gap) * u / (1 - u)
+              for u in (gauss_legendre_01(32)[0], gauss_legendre_01(64)[0])]
+        events, parts = Counter(), Counter()
+        both = _round_trip_logdet_sum(sys_, np.concatenate(xi), 30, events, nested)
+        each = [_round_trip_logdet_sum(sys_, x, 30, parts, nested) for x in xi]
+        if nested is None:
+            both, each = (both,), [(e,) for e in each]
+        for total, *split in zip(both, *each):
+            assert np.array_equal(total, np.concatenate(split))
+        assert events == parts and events["xi_clamped"] > 0
+
+
 class TestSphereMetadata:
     """Sphere-specific metadata; the key set of every path is checked in
     tests/test_energy.py."""
@@ -158,13 +192,21 @@ class TestSphereMetadata:
         self._check(res, [])
         assert res.metadata["lmax_history"][0][0] == 2
 
-    def test_events_of_last_pass(self):
-        sys_ = SphereSystem(1e-7, 1e-7, 8e-7, GOLD, GOLD, lmax=3)
-        res = sphere_energy(sys_, QuadratureSpec(base_order=16, tol=1e-4),
+    @pytest.mark.parametrize("sys_, base_order", [
+        (SphereSystem(1e-7, 1e-7, 8e-7, GOLD, GOLD, lmax=3), 16),
+        # lmax 40 clamps the lowest nodes of every order
+        (SphereSystem(1e-7, 1e-7, 3e-7, PEC, PEC, lmax=40), 8),
+    ], ids=["drude-lmax3", "pec-lmax40"])
+    def test_events_of_final_lmax_pass(self, sys_, base_order):
+        """The events of a run are those of every node of its final lmax
+        pass, over all of its quadrature orders."""
+        res = sphere_energy(sys_, QuadratureSpec(base_order=base_order, tol=1e-3),
                             adaptive_lmax=False)
-        u, _ = gauss_legendre_01(res.metadata["orders"][-1])
         events = Counter()
-        _round_trip_logdet_sum(sys_, C_LIGHT / (2 * sys_.gap) * u / (1 - u), 3, events)
+        for order in res.metadata["orders"]:
+            u, _ = gauss_legendre_01(order)
+            _round_trip_logdet_sum(sys_, C_LIGHT / (2 * sys_.gap) * u / (1 - u), sys_.lmax,
+                                   events)
         assert res.metadata["events"] == {"xi_clamped": events["xi_clamped"],
                                           "mie_zeroed": events["mie_zeroed"],
                                           "tol_floored": 0}

@@ -1,6 +1,7 @@
-"""Property test over radii, permittivities and separations: the batched
-sphere integrand equals one call per node, and swapping the spheres leaves
-the energy unchanged."""
+"""Property tests over radii, permittivities and separations: the batched
+sphere integrand equals one call per node, swapping the spheres leaves
+the energy unchanged, and the Mie amplitudes of the round trip keep their
+sign up to rounding."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from casimir.core import C_LIGHT, QuadratureSpec  # noqa: E402
-from casimir.materials import ConstantEps, PerfectMirror  # noqa: E402
-from casimir.sphere import SphereSystem, _round_trip_logdet_sum, sphere_energy  # noqa: E402
+from casimir.materials import ConstantEps, Drude, Lorentz, PerfectMirror, Plasma  # noqa: E402
+from casimir.sphere import (  # noqa: E402
+    SphereSystem,
+    _mie_scaled,
+    _round_trip_logdet_sum,
+    sphere_energy,
+)
 
 MATERIALS = st.one_of(st.just(PerfectMirror()), st.floats(1.5, 20.0).map(ConstantEps))
 
@@ -39,3 +45,41 @@ def test_batched_and_swap_invariant(R1, R2, rel_gap, mat1, mat2):
                         adaptive_lmax=False).value
     assert e12 < 0
     assert e21 == pytest.approx(e12, rel=1e-12)
+
+
+# every model the API accepts, up to a plasma frequency of 1e17 rad/s; far
+# above it si_array's Miller loop (sqrt(40 n x) steps) takes seconds per call
+ANY_MATERIAL = st.one_of(
+    st.just(PerfectMirror()),
+    st.floats(1.0, 1e4).map(ConstantEps),
+    st.builds(Drude, st.floats(0.0, 1e17), st.floats(0.0, 1e20)),
+    st.builds(Plasma, st.floats(0.0, 1e17)),
+    st.builds(Lorentz, st.floats(0.0, 1e17), st.floats(0.0, 1e20), st.floats(0.0, 1e20)),
+)
+R = 1e-7
+X = np.geomspace(1e-4, 300.0, 80)
+
+
+def _d_r(mat):
+    """q = D r = (a_l, -b_l) of the i_l/k_l basis, l = 1..60, on the x grid."""
+    a, b = _mie_scaled(mat, R, X * C_LIGHT / R, 60)
+    return np.concatenate([a, -b], axis=-1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mat=ANY_MATERIAL)
+def test_round_trip_amplitudes_are_nonpositive_up_to_rounding(mat):
+    """q = D r <= 0 for every accepted sphere, wherever the amplitude is
+    resolved: a positive one is rounding left by the cancelling numerator
+    of a sphere that is nearly vacuum (eps(i xi) - 1 about 1e-6 or less),
+    below 1e-10 of the perfect mirror's amplitude of the same l and x."""
+    q, pec = _d_r(mat), np.abs(_d_r(PerfectMirror()))
+    assert np.all(q <= 1e-10 * pec)
+
+
+def test_nearly_vacuum_sphere_has_positive_amplitudes():
+    """Why the round trip keeps the signs of q and p: an accepted
+    dielectric a millionth above vacuum gives amplitudes of either sign at
+    small x."""
+    q = _d_r(ConstantEps(1.000001))
+    assert np.any(q > 0) and np.any(q < 0)

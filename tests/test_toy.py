@@ -5,7 +5,7 @@ import pytest
 
 from casimir import toy
 from casimir.core import C_LIGHT
-from casimir.errors import NotContraction
+from casimir.errors import DomainError, NotContraction
 from casimir.scattering import dos_change, translation_scatterer
 from casimir.toy import band_energies, cavity, lossy_mirror, phase_profile
 
@@ -172,3 +172,13 @@ class TestBandEnergies:
         assert lossy["phase_route"] == pytest.approx(
             lossless["phase_route"], rel=1e-9
         )
+
+
+@pytest.mark.parametrize("L", [True, -1e-6, 0], ids=["bool", "negative", "zero"])
+def test_cavity_length_is_checked(L):
+    """A bool ran as L = 1 m, a negative length returned an energy and a
+    zero one raised ZeroDivisionError."""
+    with pytest.raises(DomainError, match="L must be"):
+        band_energies(L, 0.9, 0.3, (1e14, 2e14))
+    with pytest.raises(DomainError, match="L must be"):
+        cavity(1e14, L, 0.9, 0.3)
