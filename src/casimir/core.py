@@ -40,6 +40,11 @@ _BRANCH_RHO = 1 - 1e-9
 # the rounding of 1 - M that an LU factorisation starts from, and to at
 # most eps f for f < 1.8e-4.
 _SERIES_F = (4 * np.finfo(float).eps) ** 0.2
+# Frobenius norm up to which the series stops at k = 2, which needs no
+# matrix product: the dropped terms add up to at most f^3 / (3 (1 - f)),
+# which is <= eps f for f <= sqrt(3 eps (1 - f)), about 2.6e-8 (so
+# 1 - f > 1 - 3e-8 there).
+_SERIES_F2 = (3 * np.finfo(float).eps * (1 - 3e-8)) ** 0.5
 
 
 def log_det_one_minus(m):
@@ -55,8 +60,11 @@ def log_det_one_minus(m):
     which bounds its spectral radius rho:
 
     - f < ``_SERIES_F`` (about 1e-3): the series -sum_{k<=4} tr(M^k)/k,
-      from one matrix product. It keeps the relative accuracy of a weak
-      round trip, for which det(1 - M) would round to 1.
+      from one matrix product, or -(tr M + tr(M^2)/2), from none, for
+      f <= ``_SERIES_F2`` (about 2.6e-8). Either keeps the relative
+      accuracy of a weak round trip, for which det(1 - M) would round to
+      1: the dropped terms add up to at most eps f (f^5 / (5 (1 - f)) <=
+      eps for 1.8e-4 < f < 1e-3).
     - real M with f < 1 - 1e-9: one LU factorisation of 1 - M
       (``np.linalg.slogdet``); rho <= f certifies the branch, and a real
       det(1 - M) is then > 0. Rounding 1 - M leaves an absolute error of
@@ -95,7 +103,7 @@ def log_det_one_minus(m):
     eig = ~(series | lu)
     out = np.empty(len(m), dtype=complex)
     if series.any():
-        out[series] = _log_det_series(m if series.all() else m[series])
+        out[series] = _log_det_series(m if series.all() else m[series], f[series])
     if lu.any():
         one_minus = np.negative(m if lu.all() else m[lu])
         one_minus[:, np.arange(n), np.arange(n)] += 1.0
@@ -120,14 +128,21 @@ def log_det_one_minus(m):
     return complex(out[0]) if not shape else out.reshape(shape)
 
 
-def _log_det_series(m):
-    """-sum_{k<=4} tr(M^k)/k for a stack of matrices, smallest term first."""
-    m2 = m @ m
+def _log_det_series(m, f):
+    """-sum_{k<=4} tr(M^k)/k for a stack of matrices of Frobenius norms
+    ``f``, smallest term first, or -(tr M + tr(M^2)/2) where
+    f <= _SERIES_F2."""
     t1 = np.einsum("kii->k", m)
     t2 = np.einsum("kij,kji->k", m, m)
-    t3 = np.einsum("kij,kji->k", m2, m)
-    t4 = np.einsum("kij,kji->k", m2, m2)
-    return -(t4 / 4 + t3 / 3 + t2 / 2 + t1)
+    out = -(t2 / 2 + t1)
+    full = f > _SERIES_F2
+    if full.any():
+        mf = m[full] if not full.all() else m
+        m2 = mf @ mf
+        t3 = np.einsum("kij,kji->k", m2, mf)
+        t4 = np.einsum("kij,kji->k", m2, m2)
+        out[full] = -(t4 / 4 + t3 / 3 + t2[full] / 2 + t1[full])
+    return out
 
 
 def check_count(name, value, lowest, error=ValueError):
@@ -148,7 +163,8 @@ def check_real(name, value, lowest=-math.inf, error=ValueError, strict=True):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre order, doubling budget and relative tolerance."""
+    """Base Gauss-Legendre order, doubling budget and relative tolerance of
+    the nested Gauss-Kronrod rules of ``refine_order``."""
 
     base_order: int = 64
     max_doublings: int = 6
@@ -174,6 +190,7 @@ class EnergyResult:
 
 
 _GL_CACHE = {}
+_GK_CACHE = {}
 
 
 def gauss_legendre_01(order):
@@ -185,59 +202,132 @@ def gauss_legendre_01(order):
     return _GL_CACHE[order]
 
 
-def refine_order(evaluate, quad: QuadratureSpec):
-    """Gauss-Legendre order doubling shared by every order-refined integral.
+def gauss_kronrod_01(order):
+    """Cached Gauss-Kronrod rule on (0, 1): the 2 order + 1 Kronrod nodes
+    and a (2, 2 order + 1) array of weight rows, the Gauss-Legendre rule of
+    ``order`` (zero off its embedded nodes, the odd ones) and the Kronrod
+    rule, exact for polynomials of degree 3 order + 1.
 
-    The orders are ``quad.base_order``, twice that, and so on, until two
-    successive values differ by at most ``quad.tol`` relative.
-    ``evaluate(rules)`` integrates with each ``(u, w)`` of the list
-    ``rules``, nodes and weights of ``gauss_legendre_01``, and returns one
-    value per rule. Its first call carries the first two orders (only the
-    first when ``quad.max_doublings`` is 0), since one order gives no error
-    estimate; each later call carries one order. A value may be a 1-d stack
-    of integrals on the same nodes, which is refined until each of them
-    meets the tolerance.
+    The Kronrod Jacobi matrix comes from the Legendre recurrence by
+    Laurie's algorithm (Math. Comp. 66, 1133 (1997)); its eigenvalues are
+    the nodes, and each weight is b_0 / sum_k p_k(x)^2 over the
+    orthonormal polynomials of its recurrence (no eigenvectors, so no
+    further LAPACK routine is loaded). The embedded nodes and the Gauss
+    row are those of ``gauss_legendre_01``, so the Gauss row integrates
+    exactly as that rule.
+    """
+    n = int(order)
+    if n in _GK_CACHE:
+        return _GK_CACHE[n]
+    # recurrence of the monic Legendre polynomials on (-1, 1): a_k = 0,
+    # b_0 = 2, b_k = k^2 / (4 k^2 - 1); Laurie's loops fill a and b from
+    # index floor(3n/2) + 1 and ceil(3n/2) + 1 on
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1.0, -(-3 * n // 2) + 1)
+    b[0], b[1:k.size + 1] = 2.0, k * k / (4 * k * k - 1)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k]
+                             - b[l] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+                             + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    root_b = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(root_b[1:], 1) + np.diag(root_b[1:], -1))
+    x = (x - x[::-1]) / 2  # symmetric about 0
+    # p_k = sqrt(b_0) times the orthonormal polynomials, p_0 = 1
+    p_prev, p, norm = np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+    for k in range(2 * n):
+        p_prev, p = p, ((x - a[k]) * p - root_b[k] * p_prev) / root_b[k + 1]
+        norm += p * p
+    w = b[0] / norm
+    u, weights = (x + 1.0) / 2.0, np.zeros((2, 2 * n + 1))
+    u[1::2], weights[0, 1::2] = gauss_legendre_01(n)
+    weights[1] = (w + w[::-1]) / 4.0  # symmetric, and mapped to (0, 1)
+    _GK_CACHE[n] = (u, weights)
+    return _GK_CACHE[n]
+
+
+def _rules(quad):
+    """(orders, nodes, weight rows) of each node set of ``refine_order``."""
+    if quad.max_doublings == 0:
+        u, w = gauss_legendre_01(quad.base_order)
+        yield (quad.base_order,), u, w[None]
+    for k in range(quad.max_doublings):
+        order = quad.base_order * 2**k
+        yield (order, 2 * order + 1), *gauss_kronrod_01(order)
+
+
+def refine_order(evaluate, quad: QuadratureSpec):
+    """Nested Gauss-Kronrod refinement shared by every order-refined
+    integral.
+
+    Each node set is the Kronrod extension of a Gauss-Legendre order: the
+    Gauss orders are ``quad.base_order``, twice that, and so on, and order N
+    gives 2 N + 1 nodes on (0, 1) (``gauss_kronrod_01``) that carry both
+    rules. ``evaluate(u, w)`` integrates on the nodes ``u`` with each row
+    of the weight array ``w`` and returns one value per row; it is called
+    once per node set. A value may be a 1-d stack of integrals on the same
+    nodes, which is refined until each of them meets the tolerance. The
+    value of a node set is its Kronrod value K and its error estimate
+    |K - G|, G the embedded Gauss value; the order doubles until
+    |K - G| <= ``quad.tol`` |K|.
+
+    ``quad.max_doublings`` = d >= 1 allows d node sets, the last of
+    2^d ``base_order`` + 1 nodes, one more than the top order of plain
+    doubling. d = 0 evaluates the Gauss rule of ``base_order`` alone, which
+    gives no error estimate and never converges.
 
     Returns
     -------
     (value, error_estimate, history, converged)
-        ``history`` lists (order, value) for each refinement;
-        ``error_estimate`` is the last change (inf after one order).
-        ``converged`` is False, and nothing is raised, when
-        ``quad.max_doublings`` doublings did not meet the tolerance.
+        ``history`` lists (order, value) for each rule evaluated: (N, G)
+        and (2 N + 1, K) for each node set, (N, G) alone for d = 0, so an
+        order is the rule's node count. ``error_estimate`` is |K - G| of
+        the last node set (inf for d = 0). ``converged`` is False, and
+        nothing is raised, when no node set met the tolerance.
     """
-    orders = [quad.base_order * 2**k for k in range(quad.max_doublings + 1)]
     history = []
-    for batch in [orders[:2], *([order] for order in orders[2:])]:
-        for order, value in zip(batch, evaluate([gauss_legendre_01(o) for o in batch])):
-            err = abs(value - history[-1][1]) if history else abs(value) + np.inf
-            history.append((order, value))
-        if len(history) > 1 and np.all(err <= quad.tol * np.maximum(abs(value), 1e-300)):
+    for orders, u, w in _rules(quad):
+        values = evaluate(u, w)
+        history += zip(orders, values)
+        value = values[-1]
+        err = abs(value - values[0]) if len(values) > 1 else abs(value) + np.inf
+        if len(values) > 1 and np.all(err <= quad.tol * np.maximum(abs(value), 1e-300)):
             return value, err, history, True
     return value, err, history, False
 
 
 def integrate_semiinfinite(f, quad: QuadratureSpec = QuadratureSpec(), scale=1.0):
     """Integrate f over (0, inf) via the map xi = scale * u / (1 - u), with
-    the Gauss-Legendre order in u refined by ``refine_order``.
+    the nested Gauss-Kronrod rules in u of ``refine_order``.
 
     ``f`` must accept an ndarray of xi values and return the integrand
     values elementwise, or a (k, nodes) stack of k integrands on those
-    nodes. It is called once per call of ``evaluate``, on the nodes of all
-    its rules at once, and each rule sums its own slice along the last axis
-    with its own weights. Returns as ``refine_order``: the value is a float,
-    or a (k,) array for a stack.
+    nodes. It is called once per node set, and each weight row sums the
+    values along the last axis. Returns as ``refine_order``: the value is
+    a float, or a (k,) array for a stack.
     """
 
-    def evaluate(rules):
-        u = np.concatenate([u for u, _ in rules])
+    def evaluate(u, w):
         values = np.asarray(f(scale * u / (1.0 - u)), dtype=float)
-        out, lo = [], 0
-        for u, w in rules:
-            total = np.sum(w * (scale / (1.0 - u) ** 2) * values[..., lo:lo + len(u)], axis=-1)
-            out.append(total if total.ndim else float(total))
-            lo += len(u)
-        return out
+        out = np.sum(w * (scale / (1.0 - u) ** 2) * values[..., None, :], axis=-1)
+        return [float(row) for row in out] if out.ndim == 1 else list(out.T)
 
     return refine_order(evaluate, quad)
 
@@ -261,7 +351,8 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
     EnergyResult
         Value and error as floats. Its metadata has the same keys on
         success and on NotConverged: ``geometry`` and ``axis`` (with the
-        other ``meta`` entries), ``orders`` of the last quadrature, ``lmax``
+        other ``meta`` entries), ``orders`` of the last quadrature (the node
+        counts of its rules, see ``refine_order``), ``lmax``
         (the last one tried), ``lmax_history`` as one (lmax, value) pair per
         pass and ``lmax_check`` as the last nested check (lmax', value') of
         a converged pass (None, [] and None for plates; ``lmax_check`` is
@@ -303,7 +394,7 @@ def energy(integrate, *, lmax=None, lmax_tol=0.0, max_lmax_doublings=None,
             lmax_history.append((lmax, value))
         if not converged:
             raise NotConverged(
-                f"quadrature not converged after {len(history) - 1} doublings "
+                f"quadrature not converged at {history[-1][0]} nodes "
                 f"(error estimate {err:.3e})",
                 result=result(value, err, history, events, "quadrature"))
         if max_lmax_doublings is None:

@@ -9,13 +9,13 @@ integral over frequency and q.
 
 Two evaluation paths are provided. The production path integrates along
 the imaginary frequency axis, where the integrand is real, negative and
-smooth: each order N is an N x N Gauss-Legendre rule on the maps
+smooth: each node set is a product Gauss-Kronrod rule on the maps
 xi = (c/L) t^2 and, at each xi, kappa = kappa_0(xi) + s/L, with t and s
 in (0, inf) (see ``energy_per_area``). The real-frequency path evaluates
 Im log(1 - x) literally, with q outermost because at fixed
 q the frequency integrand decays like 1/w^4, while at fixed frequency the
-q-integral picks up a non-decaying grazing-incidence shell. Each order of
-the q rule is one stack of channels, one per q node, on the polarization
+q-integral picks up a non-decaying grazing-incidence shell. Each node set
+of the q rule is one stack of channels, one per q node, on the polarization
 sum; the sum cannot wrap because it is the argument of a product of two
 factors with Re > 0. The frequency panels of all channels are refined
 together and evaluated in blocks of bounded size. Both paths agree channel
@@ -143,26 +143,29 @@ def energy_per_area(sys: PlaneSystem, quad: QuadratureSpec = QuadratureSpec()):
     E/A = hbar/(4 pi^2) int_0^inf dxi int_0^inf q dq
           sum_pol log(1 - r1 r2 e^{-2 kappa_m L})
 
-    Each order N of ``refine_order`` is an N x N rule, with u and v on its
-    Gauss-Legendre nodes: xi = (c/L) t^2, t = u/(1-u), which makes the
+    Each node set of ``refine_order`` (Gauss order N, 2 N + 1 Kronrod
+    nodes) is one (2 N + 1)^2 grid, with u and v on its nodes, which gives
+    the N x N Gauss rule G x G and the Kronrod rule K x K from the same
+    integrand values: xi = (c/L) t^2, t = u/(1-u), which makes the
     sqrt(xi) behaviour of Drude plates at xi -> 0 smooth in t; at each xi,
     kappa = kappa_0 + s/L with kappa_0 = sqrt(eps_m(i xi)) xi/c and
     s = v/(1-v). There q dq = kappa dkappa, and q^2 = (s/L)(2 kappa_0 + s/L)
     has no cancellation. Returns and raises as ``core.energy``; value in
-    J/m^2.
+    J/m^2, ``orders`` as ``core.refine_order``'s history.
     """
 
-    def evaluate(u, w):
-        t, jt = u / (1.0 - u), w / (1.0 - u) ** 2
+    def evaluate(u, weights):
+        t, jt = u / (1.0 - u), weights / (1.0 - u) ** 2
         xi = C_LIGHT / sys.L * t**2
         k0 = (np.sqrt(eps_imag_axis(sys.medium, xi)) * xi / C_LIGHT)[:, None]
         s = t / sys.L
         grid = lifshitz_integrand(sys, xi, np.sqrt(s * (2.0 * k0 + s))) * (k0 + s)
         # dxi = (c/L) 2 t dt and dkappa = ds/L
-        return HBAR * C_LIGHT / (2 * np.pi**2 * sys.L**2) * float((t * jt) @ grid @ jt)
+        scale = HBAR * C_LIGHT / (2 * np.pi**2 * sys.L**2)
+        return [scale * float((t * j) @ grid @ j) for j in jt]
 
     def integrate(lmax, events):
-        return (*refine_order(lambda rules: [evaluate(u, w) for u, w in rules], quad), None)
+        return (*refine_order(evaluate, quad), None)
 
     return energy(integrate, warnings=_warnings(sys), geometry="plane", axis="imaginary")
 
@@ -277,17 +280,23 @@ def energy_per_area_real_axis(
 
     Requires strictly dissipative mirror materials (positive damping), so
     that |r1 r2 e^{2 i kz L}| < 1 and the principal branch is safe. Each
-    Gauss-Legendre order of the q integral evaluates all its q nodes as one
-    stack: every q is one channel whose integrand is the polarization sum,
-    from one Fresnel evaluation per point, and the frequency panels of all
-    channels are refined together (``_adaptive_panels``), in blocks of at
-    most ``_BLOCK`` points. The frequency integral at fixed q decays like
-    1/w^4; the tail beyond ``omega_max``, the q cut-off remainder and the
-    panel errors are bounded and folded into the error estimate.
+    Gauss-Kronrod node set of the q integral (``core.refine_order``; its
+    Gauss and Kronrod rules share the channels) evaluates all its q nodes
+    as one stack: every q is one channel whose integrand is the
+    polarization sum, from one Fresnel evaluation per point, and the
+    frequency panels of all channels are refined together
+    (``_adaptive_panels``), in blocks of at most ``_BLOCK`` points. The
+    frequency integral at fixed q decays like 1/w^4; the tail beyond
+    ``omega_max``, the q cut-off remainder and the panel errors are
+    bounded and folded into the error estimate.
 
     The outer q refinement stops at ``max(quad.tol, 1e-4)`` relative; a
-    tighter ``quad.tol`` is counted as ``events["tol_floored"]``. Returns
-    and raises as ``core.energy``, with ``omega_max`` in the metadata.
+    tighter ``quad.tol`` is counted as ``events["tol_floored"]``; the
+    error of a node set is |K - G| plus the panel errors of its Kronrod
+    sum. Returns and raises as ``core.energy``, with ``omega_max`` in the
+    metadata and ``orders`` as ``core.refine_order``'s history ([48, 97]
+    for a run that converges on its first node set: 97 q channels, 48 of
+    them on the Gauss rule).
 
     Raises
     ------
@@ -311,18 +320,18 @@ def energy_per_area_real_axis(
     q_tail = HBAR / (4 * np.pi**2) * abs(edge) * (q_max / (2 * L) + 1 / (4 * L**2))
     inner_errs = []
 
-    def evaluate(v, wv):
-        q, jq = q_max * v, q_max * wv
+    def evaluate(v, weights):
+        q, jq = q_max * v, q_max * weights
         vals, errs = _frequency_integrals(sys, q, omega_max)
-        inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq * q * errs)))
-        return HBAR / (4 * np.pi**2) * float(np.sum(jq * q * vals))
+        # the error of the value returned, the last (Kronrod) row's
+        inner_errs.append(HBAR / (4 * np.pi**2) * float(np.sum(jq[-1] * q * errs)))
+        return [HBAR / (4 * np.pi**2) * float(np.sum(j * q * vals)) for j in jq]
 
     def integrate(lmax, events):
         if quad.tol < 1e-4:
             events["tol_floored"] += 1
         value, err, history, converged = refine_order(
-            lambda rules: [evaluate(v, wv) for v, wv in rules],
-            replace(quad, tol=max(quad.tol, 1e-4)))
+            evaluate, replace(quad, tol=max(quad.tol, 1e-4)))
         return value, err + inner_errs[-1] + q_tail, history, converged, None
 
     return energy(integrate, warnings=_warnings(sys), geometry="plane",

@@ -308,18 +308,34 @@ def _safe_w_floor(lmax):
 # Bytes allowed for one stacked (nodes, 2n, 2n) float64 round trip; the
 # nodes of a quadrature pass are split into slices that fit.
 _STACK_BYTES = 1 << 19
+# The m loop stops after a block that changed every node's sum by at most
+# this fraction of it (Hartmann, Ingold & Maia Neto, Phys. Scr. 93, 114003
+# (2018)); where the blocks shrink with m, those it leaves out add at most
+# (lmax + 1) _M_CUT of the sum.
+_M_CUT = 1e-17
 
 
 def _log_det_n(g, signs=None):
     """log det(1 - N) of a stack of N = G G^T, whose product numpy takes as
     one symmetric rank-k update, or, given ``signs`` = (s_q, s_p), of
-    N = diag(s_q) G diag(s_p) G^T."""
-    if signs is None:
-        return log_det_one_minus(g @ g.transpose(0, 2, 1)).real
-    s_q, s_p = signs
-    nn = (g * s_p) @ g.transpose(0, 2, 1)
-    nn *= s_q
-    return log_det_one_minus(nn).real
+    N = diag(s_q) G diag(s_p) G^T.
+
+    A G G^T with tr N = ||G||_F^2 <= eps / sqrt(2 n) (2 n rows) is taken as
+    -tr N without forming N: with f = ||N||_F <= tr N the dropped terms add
+    up to at most f^2 / (2 (1 - f)) <= f tr N, below the bound eps f of
+    ``log_det_one_minus``'s series route.
+    """
+    if signs is not None:
+        s_q, s_p = signs
+        nn = (g * s_p) @ g.transpose(0, 2, 1)
+        nn *= s_q
+        return log_det_one_minus(nn).real
+    out = -np.einsum("kij,kij->k", g, g)
+    strong = -out > np.finfo(float).eps / math.sqrt(g.shape[-1])
+    if strong.any():
+        gs = g[strong] if not strong.all() else g
+        out[strong] = log_det_one_minus(gs @ gs.transpose(0, 2, 1)).real
+    return out
 
 
 def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None):
@@ -339,6 +355,13 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
     small-w floor of lmax they equal this function at lmax', because the
     pair coefficients depend only on (l, l', lam, m) and the Mie amplitudes
     only on l; lmax' = 0 gives zeros.
+
+    The m loop stops after the first block that changed every node's sum,
+    and its sum at lmax', by at most ``_M_CUT`` of that sum; the blocks
+    past it build nothing. Where the blocks shrink with m, as they do
+    beyond the few that carry a sum, those left out add at most
+    (lmax + 1) ``_M_CUT`` of each sum, which ``sphere_energy`` adds to its
+    error.
     """
     xi = np.asarray(xi, dtype=float)
     nodes = np.atleast_1d(xi)
@@ -383,6 +406,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
             s_q, s_p = np.sign(q[:, block])[:, :, None], np.sign(p[:, block])[:, None, :]
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
+        change, sub_change = np.zeros(nodes.size), np.zeros(nodes.size)
         for sl, a12, c12 in _axial_sums(lmax, m, sk, step):
             g = np.empty((len(a12), 2 * n, 2 * n))
             g[:, :n, :n] = g[:, n:, n:] = a12
@@ -390,14 +414,19 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
             g *= row[sl, :, None]
             g *= col[sl, None, :]
             signs = (s_q[sl], s_p[sl]) if signed else None
-            total[sl] += weight * _log_det_n(g, signs)
+            change[sl] = weight * _log_det_n(g, signs)
             if k:
                 gk = g.reshape(-1, 2, n, 2, n)[:, :, :k, :, :k].reshape(-1, 2 * k, 2 * k)
                 if signed:
                     signs = (signs[0][:, keep], signs[1][..., keep])
-                sub_total[sl] += weight * _log_det_n(gk, signs)
+                sub_change[sl] = weight * _log_det_n(gk, signs)
             # drop this slice's stacks before the next slice is built
             a12 = c12 = g = gk = signs = None
+        total += change
+        sub_total += sub_change
+        if (np.all(np.abs(change) <= _M_CUT * np.abs(total))
+                and np.all(np.abs(sub_change) <= _M_CUT * np.abs(sub_total))):
+            break
 
     def shaped(t):
         return float(t[0]) if xi.ndim == 0 else t
@@ -427,14 +456,19 @@ def sphere_energy(
     relative, and lmax doubles otherwise, up to ``max_lmax_doublings``
     times. That difference joins the error estimate.
 
-    Each call of the integrand evaluates every node of its quadrature
-    orders at once (``core.refine_order``): a pass that converges at the
-    first two orders builds its translation sums and Mie amplitudes once.
+    Each call of the integrand evaluates every node of one Gauss-Kronrod
+    node set (``core.refine_order``): a pass that converges on its first
+    set, Gauss order ``quad.base_order`` and 2 ``quad.base_order`` + 1
+    Kronrod nodes, builds its translation sums and Mie amplitudes once.
+    Each node sums the m-blocks up to the cut-off of
+    ``_round_trip_logdet_sum``, and (lmax + 1) ``_M_CUT`` |E| joins the
+    error estimate for the blocks past it.
 
     Returns and raises as ``core.energy``: value in J (negative for passive
-    spheres); ``events`` counts, over every node of the final lmax pass,
-    the nodes raised to the small-w floor (``xi_clamped``) and the
-    non-finite Mie amplitudes set to zero (``mie_zeroed``).
+    spheres); ``orders`` lists the Gauss and Kronrod node counts of each
+    node set of the last pass; ``events`` counts, over every node of the
+    final lmax pass, the nodes raised to the small-w floor (``xi_clamped``)
+    and the non-finite Mie amplitudes set to zero (``mie_zeroed``).
     """
     prefactor = HBAR / (2.0 * np.pi)
     scale = C_LIGHT / (2.0 * sys.gap)
@@ -446,6 +480,7 @@ def sphere_energy(
             return prefactor * np.asarray(_round_trip_logdet_sum(sys, xi, lmax, events, nested))
 
         value, err, history, converged = integrate_semiinfinite(f, quad, scale=scale)
+        err = err + (lmax + 1) * _M_CUT * np.abs(value)
         if nested is None:
             return value, err, history, converged, None
         return value[0], err[0], history, converged, (nested, value[1])

@@ -1,5 +1,10 @@
 """Tests for the shared log-det and quadrature machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -127,6 +132,62 @@ class TestStackedLogDetOneMinus:
             log_det_one_minus(np.zeros(3))
 
 
+def _scipy_gk_table(rule):
+    """(nodes, Kronrod weights, Gauss weights) of one of scipy's
+    Gauss-Kronrod rules on (0, 1), read back through the rule itself: each
+    node returns a unit vector, and the Gauss sum is recovered from the
+    difference that the rule hands to its norm."""
+    nodes, diffs = [], []
+
+    def f(x):
+        nodes.append(x)
+        return np.eye(64)[len(nodes) - 1]
+
+    def norm(v):
+        diffs.append(np.array(v))
+        return float(np.max(np.abs(v)))
+
+    kronrod = np.asarray(rule(0.0, 1.0, f, norm)[0])[:len(nodes)]
+    gauss = kronrod - diffs[0][:len(nodes)]
+    order = np.argsort(nodes)
+    return np.array(nodes)[order], kronrod[order], gauss[order]
+
+
+class TestGaussKronrod:
+    """core.gauss_kronrod_01: Laurie's Kronrod extension of the
+    Gauss-Legendre rule, mapped to (0, 1)."""
+
+    @pytest.mark.parametrize("name, order", [("_quadrature_gk15", 7), ("_quadrature_gk21", 10)])
+    def test_matches_scipy_tables(self, name, order):
+        quad_vec = pytest.importorskip("scipy.integrate._quad_vec")
+        nodes, kronrod, gauss = _scipy_gk_table(getattr(quad_vec, name))
+        u, w = core.gauss_kronrod_01(order)
+        np.testing.assert_allclose(u, nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[1], kronrod, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w[0], gauss, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("order", [8, 32, 48, 64, 128])
+    def test_degree_embedded_gauss_rule_and_positive_weights(self, order):
+        u, w = core.gauss_kronrod_01(order)
+        assert u.shape == (2 * order + 1,) and w.shape == (2, 2 * order + 1)
+        # Kronrod exact to degree 3 N + 1, Gauss to 2 N - 1
+        for row, degree in zip(w, (2 * order - 1, 3 * order + 1)):
+            exact = 1.0 / np.arange(1, degree + 2)
+            got = np.array([np.sum(row * u**d) for d in range(degree + 1)])
+            np.testing.assert_allclose(got, exact, rtol=0, atol=1e-14)
+        gl_u, gl_w = core.gauss_legendre_01(order)
+        assert np.array_equal(u[1::2], gl_u) and np.array_equal(w[0, 1::2], gl_w)
+        assert np.all(w[0, ::2] == 0) and np.all(w[1] > 0) and np.all(np.diff(u) > 0)
+
+    def test_cached_and_built_on_first_use(self):
+        assert core.gauss_kronrod_01(16)[0] is core.gauss_kronrod_01(16)[0]
+        code = "import casimir.core as c; print(len(c._GK_CACHE))"
+        env = {**os.environ, "PYTHONPATH": str(Path(core.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
+
+
 class TestIntegrateSemiInfinite:
     def test_exponential(self):
         value, err, _, converged = integrate_semiinfinite(
@@ -157,11 +218,13 @@ class TestIntegrateSemiInfinite:
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_error_estimate_shrinks(self):
+        """|K - G| of successive Gauss-Kronrod node sets shrinks."""
         _, _, history, _ = integrate_semiinfinite(
             lambda x: np.exp(-(x**2)), QuadratureSpec(base_order=16, tol=1e-13, max_doublings=5)
         )
         vals = [v for _, v in history]
-        diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
+        diffs = [abs(k - g) for g, k in zip(vals[::2], vals[1::2])]
+        assert len(diffs) >= 3
         assert all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
 
     def test_not_converged_carries_best(self):
@@ -175,39 +238,46 @@ class TestIntegrateSemiInfinite:
 
     def test_stack_rows_equal_single_calls(self):
         """Each row of a stacked integrand is summed as the single
-        integrand would be, and the stack doubles until every row meets
-        tol: the exponential alone stops at order 64, the sqrt(x) start
-        needs 1024."""
+        integrand would be, and the stack refines until every row meets
+        tol: the exponential alone stops at 65 Kronrod nodes (Gauss order
+        32), the sqrt(x) start needs 1025 (Gauss order 512)."""
         rows = [lambda x: np.exp(-x), lambda x: np.sqrt(x) * np.exp(-x)]
         spec = QuadratureSpec(base_order=8, max_doublings=8, tol=1e-9)
         value, err, history, converged = integrate_semiinfinite(
             lambda x: np.stack([f(x) for f in rows]), spec)
         single = [integrate_semiinfinite(f, spec) for f in rows]
-        assert [len(s[2]) for s in single] == [4, 8]
+        assert [s[2][-1][0] for s in single] == [65, 1025]
         assert converged and [order for order, _ in history] == [o for o, _ in single[1][2]]
-        for order, stacked in history:
-            at = QuadratureSpec(base_order=order, max_doublings=0)
-            assert list(stacked) == [integrate_semiinfinite(f, at)[0] for f in rows]
+        for (order, gauss), (_, kronrod) in zip(history[::2], history[1::2]):
+            at = QuadratureSpec(base_order=order, max_doublings=1)
+            each = [integrate_semiinfinite(f, at)[2] for f in rows]
+            assert list(gauss) == [h[0][1] for h in each]
+            assert list(kronrod) == [h[1][1] for h in each]
         assert (value[1], err[1]) == single[1][:2]
         assert np.all(err <= spec.tol * np.abs(value))
 
     @pytest.mark.parametrize("max_doublings, calls", [
-        (0, [[8]]), (1, [[8, 16]]), (4, [[8, 16], [32], [64], [128]]),
+        (0, [(8, 1)]), (1, [(17, 2)]), (4, [(17, 2), (33, 2), (65, 2), (129, 2)]),
     ])
     def test_first_call_carries_two_rules(self, max_doublings, calls):
-        """refine_order asks for the first two orders in one call, since
-        one order gives no error estimate, and for one order per call after
-        that; the history is the same as one order per call."""
+        """refine_order evaluates one node set per call, Gauss order N and
+        its 2 N + 1 Kronrod nodes with both weight rows, since one rule
+        gives no error estimate; max_doublings = d allows d node sets, the
+        last of 2^d N + 1 nodes, and d = 0 the Gauss rule of order N alone.
+        The history lists each rule's node count and value."""
         seen = []
 
-        def evaluate(rules):
-            seen.append([len(u) for u, _ in rules])
-            return [float(np.sum(w * np.exp(-u) * np.cos(40 * u))) for u, w in rules]
+        def evaluate(u, w):
+            seen.append(w.shape)
+            assert w.shape[1] == len(u)
+            return [float(np.sum(row * np.exp(-u) * np.cos(40 * u))) for row in w]
 
         spec = QuadratureSpec(base_order=8, max_doublings=max_doublings, tol=1e-300)
         value, err, history, converged = core.refine_order(evaluate, spec)
-        assert seen == calls and not converged
-        assert [order for order, _ in history] == [o for batch in calls for o in batch]
+        assert [(nodes, rows) for rows, nodes in seen] == calls and not converged
+        gauss = [8 * 2**k for k in range(len(calls))]
+        orders = [8] if max_doublings == 0 else [o for n in gauss for o in (n, 2 * n + 1)]
+        assert [order for order, _ in history] == orders
         assert value == history[-1][1]
         assert err == (abs(value - history[-2][1]) if len(history) > 1 else np.inf)
 
@@ -219,8 +289,8 @@ class TestIntegrateSemiInfinite:
             return np.exp(-x)
 
         _, _, history, converged = integrate_semiinfinite(f, QuadratureSpec(base_order=32))
-        assert converged and [order for order, _ in history] == [32, 64]
-        assert calls == [96]
+        assert converged and [order for order, _ in history] == [32, 65]
+        assert calls == [65]
 
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
@@ -321,6 +391,32 @@ class TestLogDetRoutes:
         m = np.array([[1e-20, 3e-21], [-2e-21, -4e-20]])
         # -tr(M) - tr(M^2)/2: the second term is 1e-40 and drops out
         assert log_det_one_minus(m).real == pytest.approx(3e-20, rel=1e-15)
+
+    @pytest.mark.parametrize("f", [1e-12, 1e-9, core._SERIES_F2 * (1 - 1e-3),
+                                   core._SERIES_F2 * (1 + 1e-3), core._SERIES_F2 * 4],
+                             ids=["1e-12", "1e-9", "below-sqrt3eps", "above-sqrt3eps",
+                                  "4-sqrt3eps"])
+    def test_series_error_against_mpmath(self, f):
+        """Below sqrt(3 eps) the series stops at tr(M^2) and needs no matrix
+        product; either way the dropped terms stay within eps f. Reference:
+        40-digit log det of the float64 matrices, so the result may also
+        differ by its own rounding, eps |log det|. A rank-one M, for which
+        |tr M^3| = f^3, is the worst case of the two-term truncation: at
+        4 sqrt(3 eps) it would drop 16 eps f."""
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        assert core._SERIES_F2 == pytest.approx(np.sqrt(3 * eps), rel=1e-7)
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((6, 6))
+        v = rng.standard_normal(6)
+        # symmetric positive semidefinite (as N = G G^T), rank one, and not symmetric
+        for m in (x @ x.T, np.outer(v, v), x):
+            m = m * (f / np.linalg.norm(m))
+            with mp.workdps(40):
+                want = mp.log(mp.det(mp.eye(6) - mp.matrix(m.tolist())))
+            got = log_det_one_minus(m)
+            assert got.imag == 0
+            assert abs(got.real - float(want)) <= eps * (np.linalg.norm(m) + abs(float(want)))
 
     def test_branch_risk_names_the_uncertified_matrix(self):
         stack = self._stack()

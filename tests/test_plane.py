@@ -129,7 +129,8 @@ class TestEnergyPerArea:
         # digits (the reference value of ROADMAP item 12)
         res = energy_per_area(PlaneSystem(GOLD, GOLD, VACUUM, 1e-6))
         assert abs(res.value - (-3.91402986003856e-10)) <= res.error_estimate
-        assert res.metadata["orders"][-1] <= 256
+        # by Gauss order 128 with 257 Kronrod nodes, the old order-256 budget
+        assert res.metadata["orders"][-1] <= 257
 
     def test_ideal_value_magnitude_at_1um(self):
         assert ideal_energy_per_area(1e-6) == pytest.approx(-4.3337525748e-10, rel=1e-9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y, spherical_in, spherical_kn
 
+from casimir import sphere
 from casimir.core import C_LIGHT, HBAR, QuadratureSpec
 from casimir.errors import DomainError, NotConverged
 from casimir.materials import ConstantEps, Drude, PerfectMirror
@@ -479,3 +480,55 @@ class TestRescaledRoundTrip:
             # error of a few eps per m-block
             got = _round_trip_logdet_sum(sys_, xi, lmax)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestMCutOff:
+    """The m loop of ``_round_trip_logdet_sum`` stops after the first block
+    that changed every node's sum, and its nested sum, by at most
+    ``_M_CUT`` of it; ``sphere_energy`` adds (lmax + 1) ``_M_CUT`` |E| to
+    its error for the blocks left out."""
+
+    SYS = SphereSystem(1e-7, 1e-7, 2.5e-7, PEC, PEC)
+    LMAX = 20
+
+    def test_cut_sum_against_every_block_of_the_public_views(self, monkeypatch):
+        xi = np.array([0.5, 2.0, 8.0]) * C_LIGHT / self.SYS.L
+        reached, m_cut = [], sphere._M_CUT
+
+        def spy(lmax, m, sk, step):
+            reached.append(m)
+            return axial_sums(lmax, m, sk, step)
+
+        axial_sums = sphere._axial_sums
+        monkeypatch.setattr(sphere, "_axial_sums", spy)
+        total, sub = _round_trip_logdet_sum(self.SYS, xi, self.LMAX, nested=15)
+        cut = max(reached)
+        assert cut < self.LMAX
+        # every block, from the same code with the cut-off switched off
+        monkeypatch.setattr(sphere, "_M_CUT", -1.0)
+        reached.clear()
+        total_all, sub_all = _round_trip_logdet_sum(self.SYS, xi, self.LMAX, nested=15)
+        assert max(reached) == self.LMAX
+        np.testing.assert_allclose(total, total_all, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(sub, sub_all, rtol=1e-14, atol=0)
+        # every block from the public views: log(1 - lambda) of each
+        # eigenvalue of each m-block M (a reference good to about 1e-13
+        # here, since M itself is badly scaled)
+        blocks = np.zeros((self.LMAX + 1, xi.size))
+        for i, x in enumerate(xi):
+            for m in range(self.LMAX + 1):
+                z = -np.linalg.eigvals(_round_trip(self.SYS, x, self.LMAX, m))
+                blocks[m, i] = (1 + (m > 0)) * np.sum(0.5 * np.log1p(2 * z.real + np.abs(z) ** 2))
+        np.testing.assert_allclose(total, blocks.sum(axis=0), rtol=1e-12, atol=0)
+        past = np.abs(blocks[cut + 1:].sum(axis=0))
+        assert np.all(past > 0)
+        assert np.all(past < (self.LMAX + 1) * m_cut * np.abs(total))
+
+    def test_energy_error_carries_the_tail(self, monkeypatch):
+        sys_ = SphereSystem(1e-7, 1e-7, 2.5e-7, PEC, PEC, lmax=8)
+        res = sphere_energy(sys_, adaptive_lmax=False)
+        tail = 9 * sphere._M_CUT * abs(res.value)
+        monkeypatch.setattr(sphere, "_M_CUT", 0.0)
+        bare = sphere_energy(sys_, adaptive_lmax=False)
+        assert res.error_estimate == pytest.approx(bare.error_estimate + tail, rel=1e-12)
+        assert res.value == pytest.approx(bare.value, rel=1e-14)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from casimir import sphere
-from casimir.core import C_LIGHT, QuadratureSpec, gauss_legendre_01
+from casimir.core import C_LIGHT, QuadratureSpec, gauss_kronrod_01, gauss_legendre_01
 from casimir.errors import NotConverged
 from casimir.materials import ConstantEps, Drude, PerfectMirror
 from casimir.sphere import (
@@ -142,8 +142,8 @@ class TestNestedTruncation:
 
 
 class TestOneCallPerPass:
-    """A quadrature pass that converges at its first two orders evaluates
-    the sphere integrand once, on the nodes of both orders."""
+    """A quadrature pass that converges on its first Gauss-Kronrod node
+    set evaluates the sphere integrand once, on the nodes of both rules."""
 
     def test_round_trip_called_once(self, monkeypatch):
         calls = []
@@ -155,8 +155,8 @@ class TestOneCallPerPass:
         monkeypatch.setattr(sphere, "_round_trip_logdet_sum", spy)
         res = sphere_energy(SphereSystem(1e-7, 1e-7, 3e-7, PEC, PEC, lmax=6),
                             adaptive_lmax=False)
-        assert res.metadata["orders"] == [32, 64]
-        assert calls == [96]
+        assert res.metadata["orders"] == [32, 65]
+        assert calls == [65]
 
     @pytest.mark.parametrize("nested", [None, 22])
     def test_concatenated_nodes_equal_separate_calls(self, nested):
@@ -199,12 +199,14 @@ class TestSphereMetadata:
     ], ids=["drude-lmax3", "pec-lmax40"])
     def test_events_of_final_lmax_pass(self, sys_, base_order):
         """The events of a run are those of every node of its final lmax
-        pass, over all of its quadrature orders."""
+        pass, over all of its Gauss-Kronrod node sets."""
         res = sphere_energy(sys_, QuadratureSpec(base_order=base_order, tol=1e-3),
                             adaptive_lmax=False)
         events = Counter()
-        for order in res.metadata["orders"]:
-            u, _ = gauss_legendre_01(order)
+        orders = res.metadata["orders"]
+        for order, count in zip(orders[::2], orders[1::2]):
+            u = gauss_kronrod_01(order)[0]
+            assert len(u) == count
             _round_trip_logdet_sum(sys_, C_LIGHT / (2 * sys_.gap) * u / (1 - u), sys_.lmax,
                                    events)
         assert res.metadata["events"] == {"xi_clamped": events["xi_clamped"],

@@ -1,7 +1,8 @@
 """Property tests over radii, permittivities and separations: the batched
 sphere integrand equals one call per node, swapping the spheres leaves
-the energy unchanged, and the Mie amplitudes of the round trip keep their
-sign up to rounding."""
+the energy unchanged, the energy is negative and its magnitude falls with
+the separation, and the Mie amplitudes of the round trip keep their sign
+up to rounding."""
 
 import numpy as np
 import pytest
@@ -37,14 +38,48 @@ def test_batched_and_swap_invariant(R1, R2, rel_gap, mat1, mat2):
     batched = _round_trip_logdet_sum(sys_, xi, 3)
     single = np.array([_round_trip_logdet_sum(sys_, x, 3) for x in xi])
     np.testing.assert_allclose(batched, single, rtol=1e-13, atol=0)
-    # a coarse fixed quadrature (orders 8 and 16; tol 1 always accepts the
-    # second), the same nodes on both sides of the swap
+    # a coarse fixed quadrature (Gauss 8 in Kronrod 17; tol 1 always
+    # accepts it), the same nodes on both sides of the swap
     quad = QuadratureSpec(base_order=8, max_doublings=1, tol=1.0)
     e12 = sphere_energy(sys_, quad, adaptive_lmax=False).value
     e21 = sphere_energy(SphereSystem(R2, R1, L, mat2, mat1, lmax=3), quad,
                         adaptive_lmax=False).value
     assert e12 < 0
     assert e21 == pytest.approx(e12, rel=1e-12)
+
+
+PAIR_MATERIALS = st.one_of(
+    st.just(PerfectMirror()),
+    st.builds(Drude, st.floats(5e15, 2e16), st.floats(1e13, 2e14)),
+    st.floats(1.5, 20.0).map(ConstantEps),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    R1=st.floats(5e-8, 2e-7),
+    R2=st.one_of(st.none(), st.floats(5e-8, 2e-7)),
+    rel_gap=st.floats(0.25, 3.0),
+    lmax=st.integers(1, 6),
+    mat1=PAIR_MATERIALS,
+    mat2=PAIR_MATERIALS,
+)
+def test_energy_negative_monotone_and_swap_invariant(R1, R2, rel_gap, lmax, mat1, mat2):
+    """Default quadrature (the nested Gauss-Kronrod rule) and the m
+    cut-off, at fixed lmax: E < 0, |E| falls as L grows up to L/R = 400,
+    and swapping the spheres leaves E unchanged. R2 = None draws equal
+    radii."""
+    R2 = R1 if R2 is None else R2
+    near = (R1 + R2) * (1.0 + rel_gap)
+    energies = [
+        sphere_energy(SphereSystem(R1, R2, L, mat1, mat2, lmax=lmax), adaptive_lmax=False).value
+        for L in np.geomspace(near, 400.0 * max(R1, R2), 5)
+    ]
+    assert all(e < 0 for e in energies)
+    assert all(abs(far) < abs(close) for close, far in zip(energies, energies[1:]))
+    swapped = sphere_energy(SphereSystem(R2, R1, near, mat2, mat1, lmax=lmax),
+                            adaptive_lmax=False).value
+    assert swapped == pytest.approx(energies[0], rel=1e-12)
 
 
 # every model the API accepts, up to a plasma frequency of 1e17 rad/s; far
