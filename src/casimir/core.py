@@ -1,6 +1,7 @@
-"""Geometry-independent pieces of the energy formula: branch-safe
-log det(1 - M), the order-doubling loop of every order-refined integral and
-the one energy loop that every geometry and frequency axis runs through.
+"""Geometry-independent pieces of the energy formula: log det(1 - G G^T)
+of an imaginary-axis round trip, the order-doubling loop of every
+order-refined integral and the one energy loop that every geometry and
+frequency axis runs through.
 
 Physical constants live here so every module prices energies identically.
 """
@@ -33,11 +34,12 @@ C_LIGHT = 299792458.0  # m / s
 EVENTS = ("xi_clamped", "mie_zeroed", "tol_floored")
 
 
-# Spectral radius at which log_det_one_minus raises BranchRisk.
+# Largest eigenvalue of N at which log_det_one_minus raises BranchRisk, and
+# the Frobenius norm of N below which it takes no eigenvalues.
 _BRANCH_RHO = 1 - 1e-9
-# Frobenius norm below which log_det_one_minus sums -tr(M^k)/k for k <= 4:
+# Frobenius norm below which log_det_one_minus sums -tr(N^k)/k for k <= 4:
 # the dropped terms add up to at most f^5 / (5 (1 - f)) <= eps there, below
-# the rounding of 1 - M that an LU factorisation starts from, and to at
+# the rounding of 1 - N that an LU factorisation starts from, and to at
 # most eps f for f < 1.8e-4.
 _SERIES_F = (4 * np.finfo(float).eps) ** 0.2
 # Frobenius norm up to which the series stops at k = 2, which needs no
@@ -47,90 +49,88 @@ _SERIES_F = (4 * np.finfo(float).eps) ** 0.2
 _SERIES_F2 = (3 * np.finfo(float).eps * (1 - 3e-8)) ** 0.5
 
 
-def log_det_one_minus(m):
-    """log det(1 - M) on the principal branch of each eigenvalue's log.
+def log_det_one_minus(g):
+    """log det(1 - N) of N = G G^T, for a real square G or a stack of them.
 
-    With every |lambda_i| < 1 each factor satisfies Re(1 - lambda_i) > 0,
-    so the sum of the principal logs log(1 - lambda_i) can never wrap: the
-    result is branch-safe by construction. For the Hermitian-symmetric
-    problems that arise on the imaginary frequency axis the result is real
-    and <= 0.
+    On the imaginary axis the round trip M of two passive reciprocal
+    scatterers is similar to such an N (Rahi, Emig, Graham, Jaffe & Kardar,
+    Phys. Rev. D 80, 085021 (2009)): N is symmetric positive semidefinite,
+    its eigenvalues lambda are real and >= 0, and the result,
+    sum log(1 - lambda), is real and <= 0 while every lambda < 1.
 
-    Each matrix takes one of three routes, chosen by its Frobenius norm f,
-    which bounds its spectral radius rho:
+    Each G takes one of four routes, chosen by tr N = ||G||_F^2 and by
+    f = ||N||_F, which bounds the largest eigenvalue:
 
-    - f < ``_SERIES_F`` (about 1e-3): the series -sum_{k<=4} tr(M^k)/k,
-      from one matrix product, or -(tr M + tr(M^2)/2), from none, for
+    - tr N <= eps / sqrt(n) (n rows): -tr N, without forming N. With
+      f <= tr N the dropped terms add up to at most f^2 / (2 (1 - f)) <=
+      f tr N, below the bound eps f of the series.
+    - f < ``_SERIES_F`` (about 1e-3): the series -sum_{k<=4} tr(N^k)/k,
+      from one matrix product, or -(tr N + tr(N^2)/2), from none, for
       f <= ``_SERIES_F2`` (about 2.6e-8). Either keeps the relative
-      accuracy of a weak round trip, for which det(1 - M) would round to
+      accuracy of a weak round trip, for which det(1 - N) would round to
       1: the dropped terms add up to at most eps f (f^5 / (5 (1 - f)) <=
       eps for 1.8e-4 < f < 1e-3).
-    - real M with f < 1 - 1e-9: one LU factorisation of 1 - M
-      (``np.linalg.slogdet``); rho <= f certifies the branch, and a real
-      det(1 - M) is then > 0. Rounding 1 - M leaves an absolute error of
-      a few eps per matrix.
-    - any other M (complex, or f >= 1 - 1e-9, as for a non-normal M of
-      small radius): the eigenvalues of M. Each log(1 - lambda) comes from
-      log1p for |lambda| < 0.5, so it keeps its relative accuracy for small
-      |lambda|, and from log|1 - lambda| elsewhere.
+    - f < 1 - 1e-9: one LU factorisation of 1 - N (``np.linalg.slogdet``);
+      lambda <= f keeps det(1 - N) > 0. Rounding 1 - N leaves an absolute
+      error of a few eps per matrix.
+    - f >= 1 - 1e-9: the eigenvalues of N (``np.linalg.eigvalsh``), each
+      log(1 - lambda) from log1p.
 
-    ``m`` is one square matrix or a stack of shape (..., n, n). A stack is
-    validated once and each route takes its matrices as one stack; a
-    matrix's result does not depend on the other matrices of its stack.
-    Returns a complex for one matrix and a complex array of shape
-    ``m.shape[:-2]`` for a stack.
+    ``g`` is one square matrix or a stack of shape (..., n, n). A stack is
+    validated once, N is formed as one stacked product of the G that need
+    it, and each route takes its matrices as one stack; a matrix's result
+    does not depend on the other matrices of its stack. Returns a float
+    for one matrix and a float array of shape ``g.shape[:-2]`` for a stack.
 
     Raises
     ------
     ValueError
-        If the matrices are not square or an entry is not finite.
+        If G is complex or not square, or tr N is not finite (an entry of G
+        is not, or N overflows).
     BranchRisk
-        If the spectral radius of any matrix, the largest of its exact
-        eigenvalue moduli, reaches 1 - 1e-9.
+        If the largest eigenvalue of any N reaches 1 - 1e-9.
     """
-    m = np.asarray(m)
-    if not np.iscomplexobj(m):
-        m = m.astype(float, copy=False)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    shape, n = m.shape[:-2], m.shape[-1]
-    m = m.reshape(-1, n, n)
-    f = np.sqrt(np.einsum("kij,kij->k", m, m.conj()).real)
-    series = f < _SERIES_F
-    lu = ~series & (f < _BRANCH_RHO) & (not np.iscomplexobj(m))
-    eig = ~(series | lu)
-    out = np.empty(len(m), dtype=complex)
-    if series.any():
-        out[series] = _log_det_series(m if series.all() else m[series], f[series])
-    if lu.any():
-        one_minus = np.negative(m if lu.all() else m[lu])
-        one_minus[:, np.arange(n), np.arange(n)] += 1.0
-        out[lu] = np.linalg.slogdet(one_minus).logabsdet
-    if eig.any():
-        # complex even when every eigenvalue of a real stack is real, so that
-        # a matrix's logs do not depend on the other matrices of its stack
-        lam = np.linalg.eigvals(m if eig.all() else m[eig]).astype(complex, copy=False)
-        rho = np.zeros(len(m))
-        rho[eig] = np.max(np.abs(lam), axis=-1)
-        if rho.max() >= _BRANCH_RHO:
-            raise BranchRisk(f"spectral radius {rho.max():.12f} >= 1"
-                             f"{worst_member(rho.reshape(shape))}")
-        # log(1 + z), z = -lambda: for |z| < 0.5 the modulus comes from
-        # log1p, not from rounding 1 + z, to keep its relative precision for
-        # tiny |z|; elsewhere from |1 + z|, exact near z = -1 where log1p's
-        # argument cancels
-        z = -lam
-        modulus, small = np.log(np.abs(1.0 + z)), np.abs(z) < 0.5
-        modulus[small] = 0.5 * np.log1p(2.0 * z[small].real + np.abs(z[small]) ** 2)
-        out[eig] = np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real), axis=-1)
-    return complex(out[0]) if not shape else out.reshape(shape)
+    g = np.asarray(g)
+    if np.iscomplexobj(g):
+        raise ValueError("G must be real")
+    g = g.astype(float, copy=False)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2] or g.shape[-1] < 1:
+        raise ValueError(f"matrix must be square, got shape {g.shape}")
+    shape, n = g.shape[:-2], g.shape[-1]
+    g = g.reshape(-1, n, n)
+    out = -np.einsum("kij,kij->k", g, g)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix contains non-finite entries, or G G^T overflows")
+    strong = -out > np.finfo(float).eps / math.sqrt(n)
+    if strong.any():
+        gs = g if strong.all() else g[strong]
+        nn = gs @ gs.transpose(0, 2, 1)
+        f = np.sqrt(np.einsum("kij,kij->k", nn, nn))
+        series = f < _SERIES_F
+        lu = ~series & (f < _BRANCH_RHO)
+        eig = ~(series | lu)
+        ld = np.empty(len(nn))
+        if series.any():
+            ld[series] = _log_det_series(nn if series.all() else nn[series], f[series])
+        if lu.any():
+            one_minus = np.negative(nn if lu.all() else nn[lu])
+            one_minus[:, np.arange(n), np.arange(n)] += 1.0
+            ld[lu] = np.linalg.slogdet(one_minus).logabsdet
+        if eig.any():
+            lam = np.linalg.eigvalsh(nn if eig.all() else nn[eig])
+            top = np.zeros(len(g))
+            top[np.flatnonzero(strong)[eig]] = lam[:, -1]
+            if top.max() >= _BRANCH_RHO:
+                raise BranchRisk(f"largest eigenvalue {top.max():.12f} of G G^T >= 1"
+                                 f"{worst_member(top.reshape(shape))}")
+            ld[eig] = np.sum(np.log1p(-lam), axis=-1)
+        out[strong] = ld
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _log_det_series(m, f):
-    """-sum_{k<=4} tr(M^k)/k for a stack of matrices of Frobenius norms
-    ``f``, smallest term first, or -(tr M + tr(M^2)/2) where
+    """-sum_{k<=4} tr(N^k)/k for a stack of matrices N of Frobenius norms
+    ``f``, smallest term first, or -(tr N + tr(N^2)/2) where
     f <= _SERIES_F2."""
     t1 = np.einsum("kii->k", m)
     t2 = np.einsum("kij,kji->k", m, m)
@@ -219,12 +219,15 @@ def gauss_kronrod_01(order):
     n = int(order)
     if n in _GK_CACHE:
         return _GK_CACHE[n]
-    # recurrence of the monic Legendre polynomials on (-1, 1): a_k = 0,
-    # b_0 = 2, b_k = k^2 / (4 k^2 - 1); Laurie's loops fill a and b from
-    # index floor(3n/2) + 1 and ceil(3n/2) + 1 on
+    # recurrence of the monic Legendre polynomials on (-2, 2): a_k = 0,
+    # b_0 = 4, b_k = 4 k^2 / (4 k^2 - 1) -> 1. On (-1, 1), b_k -> 1/4 and
+    # Laurie's mixed moments shrink like 4^-n, to below the smallest
+    # normal double by n = 512 and to 0 / 0 above; the factor 2 keeps them
+    # of order one and maps every number by an exact power of two. Laurie's
+    # loops fill a and b from index floor(3n/2) + 1 and ceil(3n/2) + 1 on
     a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
     k = np.arange(1.0, -(-3 * n // 2) + 1)
-    b[0], b[1:k.size + 1] = 2.0, k * k / (4 * k * k - 1)
+    b[0], b[1:k.size + 1] = 4.0, 4 * k * k / (4 * k * k - 1)
     s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
     t[1] = b[n + 1]
     for m in range(n - 1):
@@ -256,9 +259,9 @@ def gauss_kronrod_01(order):
         p_prev, p = p, ((x - a[k]) * p - root_b[k] * p_prev) / root_b[k + 1]
         norm += p * p
     w = b[0] / norm
-    u, weights = (x + 1.0) / 2.0, np.zeros((2, 2 * n + 1))
+    u, weights = (x / 2.0 + 1.0) / 2.0, np.zeros((2, 2 * n + 1))
     u[1::2], weights[0, 1::2] = gauss_legendre_01(n)
-    weights[1] = (w + w[::-1]) / 4.0  # symmetric, and mapped to (0, 1)
+    weights[1] = (w + w[::-1]) / 8.0  # symmetric, and mapped to (0, 1)
     _GK_CACHE[n] = (u, weights)
     return _GK_CACHE[n]
 

@@ -131,6 +131,12 @@ def _pair_coeffs(lmax, m, lp, l):
     symbol confines cA to even l + l' + lam and cC to odd; the mixing block
     vanishes at m = 0. Both are symmetric in l <-> l', so the pairs
     l' <= l give the whole block.
+
+    ``wigner3j`` takes all pairs in one recurrence, whose (2 lmax + 1,
+    pairs) work arrays are alive six at a time. ``_axial_sums`` passes at
+    most _PAIR_CHUNK_BYTES / (8 (2 lmax + 2)) pairs, or a cached block
+    whose pairs take 8 pairs (2 lmax + 2) <= _CACHE_BLOCK_BYTES / 2 bytes
+    in one array, so each work array stays within 256 kB.
     """
     m = abs(m)
     lam = np.arange(2 * lmax + 2)
@@ -273,8 +279,9 @@ def mie_amplitudes(mat, R, xi, l):
     versions.
     DomainError where they overflow (x beyond about 355), and at x so
     small that the order-l quotient is not finite or the regular Riccati
-    function of order l at x rounds to zero (x = 1e-20 at l = 1), where
-    the amplitudes would come out as 0.
+    function of order l at x rounds to zero (x = 1e-154 at l = 1, 1e-78
+    at l = 3). Above that a value rounds to 0 only where the amplitude
+    itself, of order x^(2l+1), is below the smallest double.
     """
     if l < 1:
         raise DomainError("multipole order must be >= 1")
@@ -315,29 +322,6 @@ _STACK_BYTES = 1 << 19
 _M_CUT = 1e-17
 
 
-def _log_det_n(g, signs=None):
-    """log det(1 - N) of a stack of N = G G^T, whose product numpy takes as
-    one symmetric rank-k update, or, given ``signs`` = (s_q, s_p), of
-    N = diag(s_q) G diag(s_p) G^T.
-
-    A G G^T with tr N = ||G||_F^2 <= eps / sqrt(2 n) (2 n rows) is taken as
-    -tr N without forming N: with f = ||N||_F <= tr N the dropped terms add
-    up to at most f^2 / (2 (1 - f)) <= f tr N, below the bound eps f of
-    ``log_det_one_minus``'s series route.
-    """
-    if signs is not None:
-        s_q, s_p = signs
-        nn = (g * s_p) @ g.transpose(0, 2, 1)
-        nn *= s_q
-        return log_det_one_minus(nn).real
-    out = -np.einsum("kij,kij->k", g, g)
-    strong = -out > np.finfo(float).eps / math.sqrt(g.shape[-1])
-    if strong.any():
-        gs = g[strong] if not strong.all() else g
-        out[strong] = log_det_one_minus(gs @ gs.transpose(0, 2, 1)).real
-    return out
-
-
 def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None):
     """sum over m of log det(1 - M_m(i xi)) at truncation lmax.
 
@@ -351,10 +335,10 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
 
     With ``nested`` = lmax' < lmax it returns a pair: the sums at lmax and
     those at lmax', taken from the rows and columns l <= lmax' (both
-    polarizations) of the same G with the same signs. On nodes above the
-    small-w floor of lmax they equal this function at lmax', because the
-    pair coefficients depend only on (l, l', lam, m) and the Mie amplitudes
-    only on l; lmax' = 0 gives zeros.
+    polarizations) of the same G. On nodes above the small-w floor of lmax
+    they equal this function at lmax', because the pair coefficients depend
+    only on (l, l', lam, m) and the Mie amplitudes only on l; lmax' = 0
+    gives zeros.
 
     The m loop stops after the first block that changed every node's sum,
     and its sum at lmax', by at most ``_M_CUT`` of that sum; the blocks
@@ -381,16 +365,17 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
     sk = sk_array(2 * lmax + 1, w)
     # M = R1 K R2 D K D, D = diag(1_E, -1_M), takes no parity factor:
     # (-1)^l lives in mie_amplitudes and (-1)^(l+m) in translation_block
-    # (module docstring). M is similar to N = diag(s_q) G diag(s_p) G^T,
-    # where q = D r1 and p = D r2 have the signs s_q, s_p and
-    # G = sqrt(damp |q|) K sqrt(|p|) is well scaled, where M's entries
-    # reach 9e99. Every accepted sphere has q <= 0 up to rounding, which
-    # leaves amplitudes of either sign in a nearly vacuum one
-    # (tests/test_sphere_properties.py); where none is > 0, N = G G^T.
+    # (module docstring). With q = D r1 <= 0 and p = D r2 <= 0, M is
+    # similar to N = G G^T, G = sqrt(damp |q|) K sqrt(|p|), which is well
+    # scaled where M's entries reach 9e99. Every accepted sphere has exact
+    # q <= 0; a positive computed amplitude is rounding left by the
+    # cancelling numerator of a nearly vacuum sphere, below 1e-10 of the
+    # perfect mirror's (tests/test_sphere_properties.py), and is clamped to
+    # 0, which is closer to the exact value.
     q = np.concatenate([a1, -b1], axis=1)
     p = np.concatenate([a2, -b2], axis=1)
-    rows, cols = np.sqrt(damp)[:, None] * np.sqrt(np.abs(q)), np.sqrt(np.abs(p))
-    signed = (q > 0).any() or (p > 0).any()
+    rows = np.sqrt(damp)[:, None] * np.sqrt(np.maximum(-q, 0.0))
+    cols = np.sqrt(np.maximum(-p, 0.0))
     total = np.zeros(nodes.size)
     sub_total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
@@ -400,10 +385,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
         # those the k with l <= lmax'
         block = np.r_[lmin - 1:lmax, lmax + lmin - 1:2 * lmax]
         k = 0 if nested is None else max(0, nested - lmin + 1)
-        keep = np.r_[:k, n:n + k]
         row, col = rows[:, block], cols[:, block]
-        if signed:
-            s_q, s_p = np.sign(q[:, block])[:, :, None], np.sign(p[:, block])[:, None, :]
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
         change, sub_change = np.zeros(nodes.size), np.zeros(nodes.size)
@@ -413,15 +395,12 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
             g[:, :n, n:] = g[:, n:, :n] = c12
             g *= row[sl, :, None]
             g *= col[sl, None, :]
-            signs = (s_q[sl], s_p[sl]) if signed else None
-            change[sl] = weight * _log_det_n(g, signs)
+            change[sl] = weight * log_det_one_minus(g)
             if k:
                 gk = g.reshape(-1, 2, n, 2, n)[:, :, :k, :, :k].reshape(-1, 2 * k, 2 * k)
-                if signed:
-                    signs = (signs[0][:, keep], signs[1][..., keep])
-                sub_change[sl] = weight * _log_det_n(gk, signs)
+                sub_change[sl] = weight * log_det_one_minus(gk)
             # drop this slice's stacks before the next slice is built
-            a12 = c12 = g = gk = signs = None
+            a12 = c12 = g = gk = None
         total += change
         sub_total += sub_change
         if (np.all(np.abs(change) <= _M_CUT * np.abs(total))

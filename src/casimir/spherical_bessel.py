@@ -50,8 +50,9 @@ def si_array(lmax, x):
         r[:active] = 1.0 / ((2 * l + 3) / xs[:active] + r[:active])
         if l < lmax:
             ratios[:, l] = r
-    # si_0(x) = e^-x sinh(x)/x = (1 - e^{-2x}) / (2x)
-    si0 = (1.0 - np.exp(-2.0 * xs)) / (2.0 * xs)
+    # si_0(x) = e^-x sinh(x)/x = (1 - e^{-2x}) / (2x), from expm1: the
+    # difference 1 - e^{-2x} would lose all digits below x = 1e-16
+    si0 = -np.expm1(-2.0 * xs) / (2.0 * xs)
     vals = np.empty((xs.size, lmax + 1))
     vals[:, 0] = si0
     vals[:, 1:] = si0[:, None] * np.cumprod(ratios, axis=1)

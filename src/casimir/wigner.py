@@ -6,10 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Bytes of one (j3, rows) work array of the recurrence; at most six such
-# arrays are alive at a time.
-_W3J_CHUNK_BYTES = 1 << 18
-
 
 def wigner3j(j1, j2, j3, m1, m2, m3):
     """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) for integer arguments.
@@ -47,13 +43,8 @@ def wigner3j(j1, j2, j3, m1, m2, m3):
     shape = j1.shape
     j1, j2, m1, m2, ok = (a.ravel() for a in (j1, j2, m1, m2, ok))
     out = np.zeros((j1.size, nj3))
-    rows = np.flatnonzero(ok)
-    # rows per recurrence call, so that one (j3, rows) work array stays
-    # within _W3J_CHUNK_BYTES
-    step = max(1, _W3J_CHUNK_BYTES // (8 * nj3))
-    for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        out[r] = _wigner3j_rows(j1[r], j2[r], m1[r], m2[r], nj3).T
+    r = np.flatnonzero(ok)
+    out[r] = _wigner3j_rows(j1[r], j2[r], m1[r], m2[r], nj3).T
     return out.reshape(shape + (nj3,))
 
 

@@ -324,6 +324,23 @@ class TestSphere:
         assert float(row["energy"]) < 0 and row["lmax_used"] == 2
         assert payload["warnings"] == ["L=1.000e-06: quadrature not converged"]
 
+    def test_kronrod_rules_above_order_537_build(self, tmp_path, capsys):
+        # node sets up to Gauss order 1024, never converged at tol 1e-300:
+        # a not_converged row, not a LinAlgError reported as a config error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sphere": {"R1": 1e-7, "R2": 1e-7, "lmax": 1},
+            "sweep": {"L_min": 1e-6, "points": 1},
+            "quad": {"base_order": 8, "max_doublings": 8, "tol": 1e-300},
+        }))
+        out = tmp_path / "sphere.json"
+        code = run_cli(["sphere", "--config", str(cfg), "--format", "json",
+                        "--out", str(out)])
+        assert capsys.readouterr().err == ""
+        assert code == 3
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["flag"] == "not_converged" and float(row["energy"]) < 0
+
     def test_xi_and_lmax_failures_warn_differently(self, tmp_path, capsys):
         def warnings(sphere, sweep, quad):
             cfg = tmp_path / "cfg.json"

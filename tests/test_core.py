@@ -24,72 +24,73 @@ from casimir.sphere import SphereSystem, sphere_energy
 from casimir.toy import lossy_mirror
 
 
+def _gram_factor(lam, seed=0):
+    """G = Q diag(sqrt(lam)) with Q a random orthogonal matrix, so that
+    N = G G^T has the eigenvalues ``lam`` up to rounding."""
+    lam = np.asarray(lam, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((lam.size, lam.size)))
+    return q * np.sqrt(lam)
+
+
 class TestLogDetOneMinus:
     def test_zero(self):
         assert log_det_one_minus(np.zeros((3, 3))) == 0
 
     def test_scalar_half(self):
-        val = log_det_one_minus(np.array([[0.5]]))
-        assert val.real == pytest.approx(np.log(0.5), abs=1e-15)
-        assert val.imag == 0
+        val = log_det_one_minus(np.array([[np.sqrt(0.5)]]))
+        assert type(val) is float
+        assert val == pytest.approx(np.log(0.5), abs=1e-15)
 
     def test_tiny_eigenvalues_keep_relative_precision(self):
         # 1 - 1e-17 rounds to 1, so log(1 - lambda) would give exactly 0
-        val = log_det_one_minus(np.diag([1e-17, 2e-17]))
-        assert val.real == pytest.approx(-3e-17, rel=1e-14)
-        assert val.imag == 0
+        val = log_det_one_minus(np.diag(np.sqrt([1e-17, 2e-17])))
+        assert val == pytest.approx(-3e-17, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("lam", [1 - 2**-28, 1 - 1e-6, (1 - 1e-6) * np.exp(1e-4j)])
+    @pytest.mark.parametrize("lam", [1 - 2**-28, 1 - 1e-6])
     def test_eigenvalues_near_one_keep_relative_precision(self, lam):
-        # 1 - lambda is exact here (Sterbenz), so np.log(1 - lambda) is the
-        # reference; log1p(2 Re z + |z|^2) would cancel to log1p(-1)
-        val = log_det_one_minus(np.diag([lam, 0.25]))
-        ref = np.log(1 - lam) + np.log(0.75)
-        assert val.real == pytest.approx(ref.real, rel=1e-14)
-        assert val.imag == pytest.approx(ref.imag, rel=1e-14, abs=1e-300)
+        # N = diag(g^2, 0.25) with g^2 the rounded square; 1 - g^2 is exact
+        # (Sterbenz), so np.log(1 - g^2) is the reference
+        g = np.diag([np.sqrt(lam), 0.5])
+        val = log_det_one_minus(g)
+        ref = np.log(1 - g[0, 0] * g[0, 0]) + np.log(0.75)
+        assert val == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_factorization_oracle(self, seed):
-        m = random_contraction(6, seed)
-        via_eig = log_det_one_minus(m)
-        via_lu = blockmat.logdet(np.eye(6) - m)
-        assert abs(via_eig - via_lu) < 1e-10
+        # the real part of a strict contraction is one, so N < 1
+        g = random_contraction(6, seed).real
+        via_gram = log_det_one_minus(g)
+        via_lu = blockmat.logdet(np.eye(6) - g @ g.T)
+        assert abs(via_gram - via_lu) < 1e-10
 
     def test_branch_risk(self):
         with pytest.raises(BranchRisk):
             log_det_one_minus(np.eye(2))
 
-    def test_non_normal_below_unit_radius(self):
-        # spectral radius 0.95, but the norm and a power-iteration estimate
-        # of the radius exceed one: the exact moduli decide, no BranchRisk
-        m = 0.95 * np.eye(6) + 3.0 * np.eye(6, k=1)
-        via_eig = log_det_one_minus(m)
-        via_lu = blockmat.logdet(np.eye(6) - m)
-        assert abs(via_eig - via_lu) < 1e-10
-        assert via_eig.real == pytest.approx(6 * np.log(0.05), rel=1e-12)
-
     def test_real_nonpositive_for_psd_products(self):
-        # products similar to Hermitian PSD contractions, as on the
-        # imaginary axis with identical mirrors
+        # N = G G^T is symmetric positive semidefinite, as on the imaginary
+        # axis, so every log(1 - lambda) is <= 0
         rng = np.random.default_rng(3)
         for _ in range(10):
             g = rng.standard_normal((4, 4))
-            h = g @ g.T
-            h = 0.9 * h / np.max(np.abs(np.linalg.eigvalsh(h)))
-            val = log_det_one_minus(h.astype(complex))
-            assert abs(val.imag) < 1e-12
-            assert val.real <= 0
+            g *= np.sqrt(0.9) / np.linalg.norm(g, 2)
+            val = log_det_one_minus(g)
+            assert type(val) is float and val <= 0
+
+    def test_complex_input_is_refused(self):
+        with pytest.raises(ValueError, match="real"):
+            log_det_one_minus(np.eye(2, dtype=complex) / 2)
 
 
 class TestStackedLogDetOneMinus:
     @staticmethod
     def _stack(seed, count=5, n=6):
-        return np.stack([random_contraction(n, seed + i) for i in range(count)])
+        return np.stack([random_contraction(n, seed + i).real for i in range(count)])
 
     def test_matches_loop(self):
         stack = self._stack(11)
         out = log_det_one_minus(stack)
-        assert out.shape == (5,) and out.dtype == complex
+        assert out.shape == (5,) and out.dtype == float
         for i, m in enumerate(stack):
             assert abs(out[i] - log_det_one_minus(m)) < 1e-13
 
@@ -98,15 +99,6 @@ class TestStackedLogDetOneMinus:
         out = log_det_one_minus(stack)
         assert out.shape == (2, 3)
         assert abs(out[1, 2] - log_det_one_minus(stack[1, 2])) < 1e-13
-
-    def test_real_stack_matches_complex(self):
-        rng = np.random.default_rng(5)
-        stack = 0.1 * rng.standard_normal((4, 5, 5))
-        real = log_det_one_minus(stack)
-        cplx = log_det_one_minus(stack.astype(complex))
-        assert np.max(np.abs(real - cplx)) < 1e-13
-        # the imaginary parts of conjugate eigenvalue pairs cancel
-        assert np.max(np.abs(real.imag)) < 1e-14
 
     def test_branch_risk_from_one_matrix(self):
         stack = self._stack(30)
@@ -123,7 +115,7 @@ class TestStackedLogDetOneMinus:
             log_det_one_minus(stack)
         stack[2, 1, 4] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            log_det_one_minus(stack.real)
+            log_det_one_minus(stack)
 
     def test_not_square(self):
         with pytest.raises(ValueError):
@@ -166,7 +158,8 @@ class TestGaussKronrod:
         np.testing.assert_allclose(w[1], kronrod, rtol=0, atol=1e-15)
         np.testing.assert_allclose(w[0], gauss, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("order", [8, 32, 48, 64, 128])
+    # 1024: above 537 the recurrence on (-1, 1) underflowed to 0 / 0
+    @pytest.mark.parametrize("order", [8, 32, 48, 64, 128, 1024])
     def test_degree_embedded_gauss_rule_and_positive_weights(self, order):
         u, w = core.gauss_kronrod_01(order)
         assert u.shape == (2 * order + 1,) and w.shape == (2, 2 * order + 1)
@@ -178,6 +171,18 @@ class TestGaussKronrod:
         gl_u, gl_w = core.gauss_legendre_01(order)
         assert np.array_equal(u[1::2], gl_u) and np.array_equal(w[0, 1::2], gl_w)
         assert np.all(w[0, ::2] == 0) and np.all(w[1] > 0) and np.all(np.diff(u) > 0)
+
+    @pytest.mark.slow
+    def test_order_2048(self):
+        # the Gauss row is numpy's leggauss, whose moments are off by up to
+        # 8e-14 at this order; the Kronrod row is checked to 1e-14
+        u, w = core.gauss_kronrod_01(2048)
+        power = np.ones_like(u)
+        for d in range(3 * 2048 + 2):
+            assert abs(np.sum(w[1] * power) - 1.0 / (d + 1)) <= 1e-14
+            power *= u
+        assert np.array_equal(w[0, 1::2], core.gauss_legendre_01(2048)[1])
+        assert np.all(w[1] > 0) and np.all(np.diff(u) > 0)
 
     def test_cached_and_built_on_first_use(self):
         assert core.gauss_kronrod_01(16)[0] is core.gauss_kronrod_01(16)[0]
@@ -345,38 +350,36 @@ class TestEnergyResult:
         assert core.C_LIGHT == 299792458.0
 
 
-def _eig_reference(m):
-    """sum of log(1 - lambda) over the eigenvalues of one matrix, each log
-    from log1p where |lambda| is small (the eigenvalue route)."""
-    z = -np.linalg.eigvals(m).astype(complex)
-    modulus = np.where(np.abs(z) < 0.5,
-                       0.5 * np.log1p(2.0 * z.real + np.abs(z) ** 2), np.log(np.abs(1.0 + z)))
-    return np.sum(modulus + 1j * np.arctan2(z.imag, 1.0 + z.real))
-
-
 class TestLogDetRoutes:
-    """log_det_one_minus takes the series, an LU factorisation or the
-    eigenvalues of each matrix, by its Frobenius norm f."""
+    """log_det_one_minus takes -tr N, the series, an LU factorisation or the
+    eigenvalues of each N = G G^T, by tr N and the Frobenius norm f of N."""
 
-    @staticmethod
-    def _stack():
-        rng = np.random.default_rng(8)
-        weak = rng.standard_normal((6, 6))
-        weak *= 1e-6 / np.linalg.norm(weak)
-        certified = rng.standard_normal((6, 6))
-        certified *= 0.5 / np.linalg.norm(certified)
-        # spectral radius 0.95 with f > 3: only the eigenvalues can certify it
-        non_normal = 0.95 * np.eye(6) + 3.0 * np.eye(6, k=1)
-        return np.stack([weak, certified, non_normal, 0.5 * weak, -certified])
+    # the chosen spectra: weak (-tr N), series, LU and eigenvalues
+    SPECTRA = (np.full(6, 1e-18), np.full(6, 1e-5), np.linspace(0.05, 0.3, 6),
+               np.array([0.99, 0.9, 0.9, 0.5, 0.2, 0.0]))
+
+    @classmethod
+    def _stack(cls):
+        g = [_gram_factor(lam, seed) for seed, lam in enumerate(cls.SPECTRA)]
+        return np.stack(g + [0.5 * g[1], -g[2]])
 
     def test_each_route_matches_eigenvalues(self):
         stack = self._stack()
-        f = np.linalg.norm(stack, axis=(-2, -1))
-        assert f[0] < core._SERIES_F < f[1] < 1 - 1e-9 < f[2]
+        nn = stack @ stack.transpose(0, 2, 1)
+        trace, f = np.trace(nn, axis1=1, axis2=2), np.linalg.norm(nn, axis=(-2, -1))
+        assert trace[0] <= np.finfo(float).eps / np.sqrt(6) < trace[1]
+        assert f[1] < core._SERIES_F < f[2] < 1 - 1e-9 < f[3]
         out = log_det_one_minus(stack)
-        for got, m in zip(out, stack):
-            want = _eig_reference(m)
+        for got, lam in zip(out, [*self.SPECTRA, self.SPECTRA[1] / 4, self.SPECTRA[2]]):
+            want = np.sum(np.log1p(-lam))
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_eigenvalue_route_above_unit_norm(self):
+        # ||N||_F > 1 > lambda_max: only the eigenvalues certify the branch
+        lam = self.SPECTRA[3]
+        g = _gram_factor(lam, seed=9)
+        assert np.linalg.norm(g @ g.T) > 1 > lam.max()
+        assert log_det_one_minus(g) == pytest.approx(np.sum(np.log1p(-lam)), rel=1e-13)
 
     def test_stack_equals_single_calls_bit_for_bit(self):
         stack = self._stack()
@@ -388,40 +391,45 @@ class TestLogDetRoutes:
             assert log_det_one_minus(stack[i:i + 2])[0] == out[i]
 
     def test_series_keeps_relative_precision(self):
-        m = np.array([[1e-20, 3e-21], [-2e-21, -4e-20]])
-        # -tr(M) - tr(M^2)/2: the second term is 1e-40 and drops out
-        assert log_det_one_minus(m).real == pytest.approx(3e-20, rel=1e-15)
+        # tr N = 1.7e-11, where det(1 - N) would keep five digits; the
+        # series -(tr N + tr(N^2) / 2) keeps them all
+        mp = pytest.importorskip("mpmath")
+        g = np.array([[1e-6, 3e-7], [-2e-7, -4e-6]])
+        with mp.workdps(40):
+            gm = mp.matrix(g.tolist())
+            want = float(mp.log(mp.det(mp.eye(2) - gm * gm.T)))
+        assert log_det_one_minus(g) == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("f", [1e-12, 1e-9, core._SERIES_F2 * (1 - 1e-3),
                                    core._SERIES_F2 * (1 + 1e-3), core._SERIES_F2 * 4],
                              ids=["1e-12", "1e-9", "below-sqrt3eps", "above-sqrt3eps",
                                   "4-sqrt3eps"])
     def test_series_error_against_mpmath(self, f):
-        """Below sqrt(3 eps) the series stops at tr(M^2) and needs no matrix
+        """Below sqrt(3 eps) the series stops at tr(N^2) and needs no matrix
         product; either way the dropped terms stay within eps f. Reference:
-        40-digit log det of the float64 matrices, so the result may also
-        differ by its own rounding, eps |log det|. A rank-one M, for which
-        |tr M^3| = f^3, is the worst case of the two-term truncation: at
+        40-digit log det of N, which both G below give exactly in float64
+        (each entry one rounded product), so the result may also differ by
+        its own rounding, eps |log det|. A rank-one N, for which
+        tr N^3 = f^3, is the worst case of the two-term truncation: at
         4 sqrt(3 eps) it would drop 16 eps f."""
         mp = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
         assert core._SERIES_F2 == pytest.approx(np.sqrt(3 * eps), rel=1e-7)
         rng = np.random.default_rng(28)
-        x = rng.standard_normal((6, 6))
-        v = rng.standard_normal(6)
-        # symmetric positive semidefinite (as N = G G^T), rank one, and not symmetric
-        for m in (x @ x.T, np.outer(v, v), x):
-            m = m * (f / np.linalg.norm(m))
+        # a diagonal G (N of full rank) and a single column (N of rank one)
+        for g in (np.diag(rng.random(6)), np.outer(rng.standard_normal(6), np.eye(6)[0])):
+            g = g * np.sqrt(f / np.linalg.norm(g @ g.T))
+            nn = g @ g.T
             with mp.workdps(40):
-                want = mp.log(mp.det(mp.eye(6) - mp.matrix(m.tolist())))
-            got = log_det_one_minus(m)
-            assert got.imag == 0
-            assert abs(got.real - float(want)) <= eps * (np.linalg.norm(m) + abs(float(want)))
+                want = mp.log(mp.det(mp.eye(6) - mp.matrix(nn.tolist())))
+            got = log_det_one_minus(g)
+            assert type(got) is float
+            assert abs(got - float(want)) <= eps * (np.linalg.norm(nn) + abs(float(want)))
 
     def test_branch_risk_names_the_uncertified_matrix(self):
         stack = self._stack()
-        stack[2] = (1 - 1e-10) * np.eye(6) + 3.0 * np.eye(6, k=1)
-        with pytest.raises(BranchRisk, match=r"matrix 2 of the stack"):
+        stack[3] = _gram_factor([1 - 1e-10, 0.9, 0.9, 0.5, 0.2, 0.0])
+        with pytest.raises(BranchRisk, match=r"matrix 3 of the stack"):
             log_det_one_minus(stack)
         with pytest.raises(BranchRisk, match=r"matrix \(1, 0\) of the stack"):
-            log_det_one_minus(stack[1:3].reshape(2, 1, 6, 6))
+            log_det_one_minus(stack[2:4].reshape(2, 1, 6, 6))

@@ -23,12 +23,13 @@ from casimir.sphere import (
 PEC = PerfectMirror()
 
 
-def _round_trip(sys_, xi, lmax, m):
+def _round_trip(sys_, xi, lmax, m, clamp=False):
     """The m-block of M = R1 T12 R2 T21 from the public views alone: T12
     from ``translation_block`` (its sign of m flipping the mixing blocks),
     its reverse T21 as the parity image P T12 P, P = diag((-1)^l, -(-1)^l),
-    and the amplitudes of the i_l/k_l basis, (-1)^l (a_l, b_l) from
-    ``mie_amplitudes``."""
+    and the amplitudes r of the i_l/k_l basis, (-1)^l (a_l, b_l) from
+    ``mie_amplitudes``. With ``clamp``, each r is clamped to the exact sign
+    of a passive sphere, D r <= 0, D = diag(1_E, -1_M)."""
     lmin = max(1, abs(m))
     ls = np.arange(lmin, lmax + 1)
     d = np.repeat([1.0, -1.0], ls.size)
@@ -40,6 +41,8 @@ def _round_trip(sys_, xi, lmax, m):
     t21 = p[:, None] * t12 * p
     r1, r2 = (np.array([mie_amplitudes(mat, R, xi, l) for l in ls]).T.ravel() * parity
               for mat, R in ((sys_.mat1, sys_.R1), (sys_.mat2, sys_.R2)))
+    if clamp:
+        r1, r2 = (d * np.minimum(d * r, 0.0) for r in (r1, r2))
     return (r1[:, None] * t12) @ (r2[:, None] * t21)
 
 
@@ -93,6 +96,16 @@ class TestMieAmplitudes:
         a1, b1 = mie_amplitudes(PEC, R, xi, 1)
         assert a1 / x**3 == pytest.approx(2 / 3, rel=1e-6)
         assert b1 / x**3 == pytest.approx(-1 / 3, rel=1e-6)
+
+    @pytest.mark.parametrize("x", [1e-10, 1e-16, 1e-20])
+    def test_conducting_limit_to_rounding(self, x):
+        # si_0 = (1 - e^{-2x}) / (2x) from expm1: the plain difference was
+        # off by 8e-8 at x = 1e-10 and by 11 % at 1e-16; the next terms of
+        # the series are x^2 smaller
+        R = 1e-7
+        a1, b1 = mie_amplitudes(PEC, R, x * C_LIGHT / R, 1)
+        assert a1 == pytest.approx(2 / 3 * x**3, rel=1e-14, abs=0)
+        assert b1 == pytest.approx(-1 / 3 * x**3, rel=1e-14, abs=0)
 
     def test_dielectric_polarizability_limit(self):
         eps = 4.0
@@ -148,11 +161,12 @@ class TestMieAmplitudes:
     @pytest.mark.parametrize("mat", [PEC, ConstantEps(4.0)])
     @pytest.mark.parametrize("l", [1, 3])
     def test_tiny_x_raises_instead_of_zero(self, mat, l):
-        # at x = 1e-20 the true a_1 of a PEC sphere is (2/3) x^3 ~ 6.7e-61,
-        # but the regular Riccati functions round to 0
+        # at x = 1e-160 the regular Riccati functions of orders 1 and 3
+        # round to 0; since si_0 comes from expm1, x = 1e-20 still gives
+        # a_1 = (2/3) x^3 = 6.7e-61 (test_conducting_limit_to_rounding)
         R = 1e-7
         with pytest.raises(DomainError, match="underflow at x"):
-            mie_amplitudes(mat, R, 1e-20 * C_LIGHT / R, l)
+            mie_amplitudes(mat, R, 1e-160 * C_LIGHT / R, l)
         x = 1e-10
         a1, b1 = mie_amplitudes(PEC, R, x * C_LIGHT / R, 1)
         assert a1 / x**3 == pytest.approx(2 / 3, rel=1e-6)
@@ -439,10 +453,11 @@ class TestBeyondDipoleOrder:
 
 
 class TestRescaledRoundTrip:
-    """The energy loop takes log det(1 - N), N = diag(s_q) G diag(s_p) G^T,
-    for log det(1 - M), M = R1 T12 R2 T21 (``_round_trip``); N is similar
-    to M because the reverse translation is T21 = D T12^T D,
-    D = diag(1_E, -1_M). Where no amplitude is > 0, N = G G^T."""
+    """The energy loop takes log det(1 - N), N = G G^T, for log det(1 - M),
+    M = R1 T12 R2 T21 (``_round_trip``); N is similar to M because the
+    reverse translation is T21 = D T12^T D, D = diag(1_E, -1_M), and
+    D r <= 0 for both spheres, where a computed amplitude of the wrong
+    sign is clamped to 0."""
 
     @pytest.mark.parametrize("lmax", range(1, 13))
     def test_reverse_translation_is_reflected_transpose(self, lmax):
@@ -465,7 +480,7 @@ class TestRescaledRoundTrip:
         SphereSystem(1e-7, 1e-7, 3e-7, Drude(1.37e16, 5.3e13), Drude(1.37e16, 5.3e13)),
         SphereSystem(1.5e-7, 1e-7, 3.2e-7, ConstantEps(4.0), ConstantEps(9.0)),
         # eps(i xi) - 1 below 1e-9: amplitudes of either sign from rounding,
-        # which N keeps
+        # which both sides clamp
         SphereSystem(1e-7, 1e-7, 3e-7, Drude(1e10, 1e20), PEC),
     ], ids=["pec", "drude", "unequal-eps", "nearly-vacuum"])
     def test_log_det_equals_that_of_the_round_trip(self, sys_):
@@ -474,7 +489,7 @@ class TestRescaledRoundTrip:
             xi = w * C_LIGHT / sys_.L
             want = 0.0
             for m in range(-lmax, lmax + 1):
-                z = -np.linalg.eigvals(_round_trip(sys_, xi, lmax, m))
+                z = -np.linalg.eigvals(_round_trip(sys_, xi, lmax, m, clamp=True))
                 want += np.sum(0.5 * np.log1p(2 * z.real + np.abs(z) ** 2))
             # an LU factorisation of 1 - N rounds its diagonal: an absolute
             # error of a few eps per m-block

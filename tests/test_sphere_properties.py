@@ -113,8 +113,8 @@ def test_round_trip_amplitudes_are_nonpositive_up_to_rounding(mat):
 
 
 def test_nearly_vacuum_sphere_has_positive_amplitudes():
-    """Why the round trip keeps the signs of q and p: an accepted
-    dielectric a millionth above vacuum gives amplitudes of either sign at
-    small x."""
+    """Why the round trip clamps q and p to their exact sign, <= 0: an
+    accepted dielectric a millionth above vacuum gives computed amplitudes
+    of either sign at small x."""
     q = _d_r(ConstantEps(1.000001))
     assert np.any(q > 0) and np.any(q < 0)
