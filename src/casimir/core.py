@@ -63,13 +63,16 @@ def log_det_one_minus(g):
 
     - tr N <= eps / sqrt(n) (n rows): -tr N, without forming N. With
       f <= tr N the dropped terms add up to at most f^2 / (2 (1 - f)) <=
-      f tr N, below the bound eps f of the series.
+      f tr N <= eps f, below what the series drops.
     - f < ``_SERIES_F`` (about 1e-3): the series -sum_{k<=4} tr(N^k)/k,
       from one matrix product, or -(tr N + tr(N^2)/2), from none, for
       f <= ``_SERIES_F2`` (about 2.6e-8). Either keeps the relative
       accuracy of a weak round trip, for which det(1 - N) would round to
       1: the dropped terms add up to at most eps f (f^5 / (5 (1 - f)) <=
-      eps for 1.8e-4 < f < 1e-3).
+      eps for 1.8e-4 < f < 1e-3), and the sum of the n diagonal entries
+      and the few additions after it round by at most (n + 2) eps tr N / 2,
+      so the result is within eps (f + (n + 2) tr N / 2) of the log det of
+      the float N; tr N >= f and tr N is about |log det|.
     - f < 1 - 1e-9: one LU factorisation of 1 - N (``np.linalg.slogdet``);
       lambda <= f keeps det(1 - N) > 0. Rounding 1 - N leaves an absolute
       error of a few eps per matrix.
@@ -105,13 +108,15 @@ def log_det_one_minus(g):
     if strong.any():
         gs = g if strong.all() else g[strong]
         nn = gs @ gs.transpose(0, 2, 1)
-        f = np.sqrt(np.einsum("kij,kij->k", nn, nn))
+        f2 = np.einsum("kij,kij->k", nn, nn)  # ||N||_F^2 = tr(N^2), N symmetric
+        f = np.sqrt(f2)
         series = f < _SERIES_F
         lu = ~series & (f < _BRANCH_RHO)
         eig = ~(series | lu)
         ld = np.empty(len(nn))
         if series.any():
-            ld[series] = _log_det_series(nn if series.all() else nn[series], f[series])
+            ld[series] = _log_det_series(nn if series.all() else nn[series], f[series],
+                                         f2[series])
         if lu.any():
             one_minus = np.negative(nn if lu.all() else nn[lu])
             one_minus[:, np.arange(n), np.arange(n)] += 1.0
@@ -128,19 +133,19 @@ def log_det_one_minus(g):
     return float(out[0]) if not shape else out.reshape(shape)
 
 
-def _log_det_series(m, f):
-    """-sum_{k<=4} tr(N^k)/k for a stack of matrices N of Frobenius norms
-    ``f``, smallest term first, or -(tr N + tr(N^2)/2) where
-    f <= _SERIES_F2."""
+def _log_det_series(m, f, t2):
+    """-sum_{k<=4} tr(N^k)/k for a stack of symmetric matrices N of
+    Frobenius norms ``f`` and tr(N^2) = f^2 = ``t2``, smallest term first,
+    or -(tr N + tr(N^2)/2) where f <= _SERIES_F2. N and N^2 are symmetric,
+    so tr(N^2 N) and tr(N^2 N^2) are sums of products of equal entries."""
     t1 = np.einsum("kii->k", m)
-    t2 = np.einsum("kij,kji->k", m, m)
     out = -(t2 / 2 + t1)
     full = f > _SERIES_F2
     if full.any():
         mf = m[full] if not full.all() else m
         m2 = mf @ mf
-        t3 = np.einsum("kij,kji->k", m2, mf)
-        t4 = np.einsum("kij,kji->k", m2, m2)
+        t3 = np.einsum("kij,kij->k", m2, mf)
+        t4 = np.einsum("kij,kij->k", m2, m2)
         out[full] = -(t4 / 4 + t3 / 3 + t2[full] / 2 + t1[full])
     return out
 

@@ -88,12 +88,11 @@ class SphereSystem:
 
 
 # Bytes of one array of pair coefficients while a block too large to cache
-# is built (``_axial_sums``; four such arrays are alive at a time).
+# is built (``_axial_sums``).
 _PAIR_CHUNK_BYTES = 1 << 18
-# Blocks whose two arrays of pair coefficients take at most
-# _CACHE_BLOCK_BYTES stay cached, at most 32 of them (16 MB); a larger one is
-# rebuilt on every pass.
-_CACHE_BLOCK_BYTES = 1 << 19
+# Blocks whose pair coefficients take at most _CACHE_BLOCK_BYTES stay
+# cached, at most 32 of them (8 MB); a larger one is rebuilt on every pass.
+_CACHE_BLOCK_BYTES = 1 << 18
 
 
 def _pairs(lmax, m):
@@ -111,12 +110,14 @@ def _pairs(lmax, m):
 
 
 def _pair_coeffs(lmax, m, lp, l):
-    """lambda-expansion coefficients (cA[l', l], cC[l', l]) of the axial
-    translation m-block for the pairs l' <= l given by the 1-d arrays lp
-    and l: two (pairs, 2 lmax + 2) arrays such that
+    """lambda-expansion coefficients of the axial translation m-block for
+    the pairs l' <= l given by the 1-d arrays lp and l, as one
+    (pairs, 2 lmax + 2) array whose columns hold lam = 0, 2, .., 2 lmax
+    and then lam = 1, 3, .., 2 lmax + 1; with c[l', l, lam] its entry for
+    the pair (l', l) at lam,
 
-        A[l', l] = sum_lam cA[l', l, lam] k_lam(w)
-        C[l', l] = sum_lam cC[l', l, lam] k_lam(w)
+        A[l', l] = sum_{lam = l + l' mod 2} c[l', l, lam] k_lam(w)
+        C[l', l] = sum_{lam = l + l' + 1 mod 2} c[l', l, lam] k_lam(w)
 
     where A couples equal polarizations and C mixes them. Coefficients
     include the (2/pi) radial normalization that makes the dipole limit
@@ -128,83 +129,136 @@ def _pair_coeffs(lmax, m, lp, l):
              * sqrt((lam^2 - (l-l')^2) ((l+l'+1)^2 - lam^2))
 
     with N = sqrt((2l+1)(2l'+1) / (l(l+1) l'(l'+1))) / pi. The first 3j
-    symbol confines cA to even l + l' + lam and cC to odd; the mixing block
-    vanishes at m = 0. Both are symmetric in l <-> l', so the pairs
-    l' <= l give the whole block.
+    symbol confines cA to even l + l' + lam and cC to odd, so the two share
+    one array; the mixing block vanishes at m = 0. Both are symmetric in
+    l <-> l', so the pairs l' <= l give the whole block, and both vanish
+    outside the triangle l - l' <= lam <= l + l'.
 
-    ``wigner3j`` takes all pairs in one recurrence, whose (2 lmax + 1,
-    pairs) work arrays are alive six at a time. ``_axial_sums`` passes at
-    most _PAIR_CHUNK_BYTES / (8 (2 lmax + 2)) pairs, or a cached block
-    whose pairs take 8 pairs (2 lmax + 2) <= _CACHE_BLOCK_BYTES / 2 bytes
-    in one array, so each work array stays within 256 kB.
+    The 3j symbols and the factors are computed on that triangle only, at
+    offsets k = lam - (l - l') = 0 .. 2 l', where cA sits at even k and cC
+    at odd k with the same (0 0 0) symbol, (l l' l - l' + 2i; 0 0 0) at
+    k = 2i and 2i + 1. ``_axial_sums`` passes the pairs in the order of
+    ``_pairs``, whose l' rises, so the pairs of one call have triangles of
+    similar width.
     """
     m = abs(m)
-    lam = np.arange(2 * lmax + 2)
-    tm = wigner3j(lp, l, None, m, -m, 0)  # (l' l lam; m -m 0)
-    t0 = tm if m == 0 else wigner3j(l, lp, None, 0, 0, 0)  # (l l' lam; 0 0 0)
-    k = t0.shape[-1]
-    ratio_p, ratio = ((2 * x + 1) / (x * (x + 1.0)) for x in (lp, l))
-    cC = np.zeros((l.size, lam.size))
-    cC[:, :k] = tm
-    del tm
-    cC *= (np.sqrt(ratio_p * ratio) / np.pi)[:, None]
-    cC *= 2 * lam + 1
-    cA = np.zeros_like(cC)
-    np.multiply(cC[:, :k], t0, out=cA[:, :k])
-    cA *= (l * (l + 1) + lp * (lp + 1))[:, None] - lam * (lam + 1)
-    cC[:, 1:k + 1] *= t0  # (l l' lam-1; 0 0 0); lam = 0 has a zero root
-    lp, l = lp[:, None], l[:, None]
-    cC *= np.sqrt(np.maximum((lam**2 - (l - lp) ** 2) * ((l + lp + 1) ** 2 - lam**2), 0))
-    return cA, cC
+    tm = wigner3j(lp, l, None, m, -m, 0, band=True).T  # (l' l lam; m -m 0)
+    t0 = tm if m == 0 else wigner3j(lp, l, None, 0, 0, 0, band=True).T
+    width = tm.shape[0]
+    d = l - lp
+    # at k = 2i: lam = d + x with x = 2i, 2 lam + 1 = b + 2x with b = 2d + 1,
+    # l (l+1) + l' (l'+1) - lam (lam+1) = 2 l' (l+1) - x (b + x); at
+    # k = 2i + 1: lam = d + x + 1 and lam^2 - (l-l')^2 = (x + 1) (b + x),
+    # (l+l'+1)^2 - lam^2 = (2 l' - x) (2 l + 2 + x)
+    x = np.arange(0.0, width, 2)[:, None]
+    b = 2.0 * d + 1
+    bx = b + x
+    twol = b + 2 * x
+    nt = t0[::2] * (np.sqrt((2 * lp + 1) * (2 * l + 1) / (lp * (lp + 1.0) * l * (l + 1))) / np.pi)
+    c = np.empty_like(tm)
+    even = x * bx
+    np.subtract(2.0 * lp * (l + 1), even, out=even)
+    even *= twol
+    even *= nt
+    np.multiply(tm[::2], even, out=c[::2])
+    if m:
+        odd = width // 2
+        x, bx, twol, nt = x[:odd], bx[:odd], twol[:odd], nt[:odd]
+        root = 2.0 * lp - x
+        # negative only past the triangle, where tm is zero
+        np.abs(root, out=root)
+        root *= x + 1
+        root *= bx
+        root *= 2.0 * l + 2 + x
+        np.sqrt(root, out=root)
+        twol += 2
+        root *= twol
+        root *= nt
+        np.multiply(tm[1::2], root, out=c[1::2])
+    else:
+        c[1::2] = 0.0
+    # write each pair's triangle into its row, the entries of k = 2i at
+    # column start + i and those of k = 2i + 1 at column start' + i: even
+    # lam at column lam // 2, odd lam at lmax + 1 + lam // 2. A row's run
+    # that passes the end of its parity holds zeros; it lands in the row's
+    # odd columns below the first one in use, or in the padding
+    nlam = 2 * lmax + 2
+    pad = max(0, (int(np.max(d, initial=0)) + width + 1) // 2 - lmax - 1)
+    out = np.zeros((l.size, nlam + pad))
+    row = np.arange(l.size) * (nlam + pad)
+    i = np.arange((width + 1) // 2)[:, None]
+    at = np.empty(c.shape, dtype=np.intp)
+    for k0 in (0, 1):
+        start = row + (d + k0) // 2 + (lmax + 1) * ((d + k0) % 2)
+        np.add(start, i[:len(at[k0::2])], out=at[k0::2])
+    out.reshape(-1)[at] = c
+    return out[:, :nlam]
 
 
 @lru_cache(maxsize=32)
 def _axial_coeff_tensors(lmax, m):
-    """(cA, cC, pairs): ``_pair_coeffs`` of every pair of the m-block and
-    the block's ``_pairs`` map, cached for a block that fits
+    """(c, take): ``_pair_coeffs`` of every pair of the m-block and the
+    block's ``_gather`` map, cached for a block that fits
     _CACHE_BLOCK_BYTES (see ``_axial_sums``)."""
-    pairs = _pairs(lmax, m)
-    return (*_pair_coeffs(lmax, m, *pairs[:2]), pairs)
+    lp, l, index = _pairs(lmax, m)
+    return _pair_coeffs(lmax, m, lp, l), _gather(index)
+
+
+def _gather(index):
+    """The (2n, 2n) map from the entries of one translation block
+    [[A, C], [C, A]] to the pair sums [even lam | odd lam] of ``_axial_sums``
+    (pairs of ``_pairs``'s ``index``): A[l', l] takes the sum of the
+    parity of l + l', C[l', l] the other one."""
+    n, pairs = len(index), int(index.max()) + 1
+    odd = np.add.outer(np.arange(n), np.arange(n)) % 2 * pairs
+    same, other = index + odd, index + (pairs - odd)
+    return np.block([[same, other], [other, same]])
 
 
 def _axial_sums(lmax, m, sk, step):
-    """The translation sums sum_lam c[l', l, lam] sk[node, lam] of the
-    m-block at truncation lmax (c: ``_pair_coeffs``'s coefficients), for
-    the rows of ``sk``: yields (node slice, A, C) for consecutive slices of
-    ``step`` nodes, A and C as (nodes, n, n) stacks.
+    """The translation blocks of the m-block at truncation lmax for the
+    rows of ``sk`` (sk[node, lam] = k_lam(w) e^w): yields (node slice, K)
+    for consecutive slices of ``step`` nodes, K the (nodes, 2n, 2n) stack
+    of the blocks [[A, C], [C, A]] with A and C the sums of
+    ``_pair_coeffs``'s coefficients. K is the caller's to scale in place.
 
     The sums are taken for the pairs l' <= l only, for all rows of ``sk``
-    at once, and each slice's symmetric blocks are gathered from them
-    through the index of ``_pairs``. A block whose pair coefficients fit
+    at once, one product for the even lam and one for the odd ones, and
+    each slice's blocks are gathered from them in one ``np.take`` through
+    the map of ``_gather``. A block whose pair coefficients fit
     _CACHE_BLOCK_BYTES comes with its map from ``_axial_coeff_tensors``'s
-    cache: all m-blocks at lmax 24 take 2.5 MB and every one of them is
-    kept; at lmax 50 only those with n <= 24 are kept (4.4 MB). A larger
+    cache: all m-blocks at lmax 24 take 1.3 MB and every one of them is
+    kept; at lmax 50 only those with n <= 24 are kept (2.2 MB). A larger
     block is never held whole: its map is rebuilt on every pass, its
     coefficients are built for a few pairs at a time, at most
-    _PAIR_CHUNK_BYTES per array, and each chunk is contracted as it is
-    built. The block then takes 8 nodes n (n + 1) bytes instead of the
-    coefficients' 8 n (n + 1) (2 lmax + 2), and a rebuild costs O(n^2 lmax)
+    _PAIR_CHUNK_BYTES, and each chunk is contracted as it is built. The
+    block then takes 16 nodes n (n + 1) bytes instead of the
+    coefficients' 4 n (n + 1) (2 lmax + 2), and a rebuild costs O(n^2 lmax)
     against a quadrature pass's O(nodes n^3).
     """
     m = abs(m)
     n = lmax - max(1, m) + 1
     nlam = 2 * lmax + 2
-    if 8 * n * (n + 1) * nlam <= _CACHE_BLOCK_BYTES:  # 16 bytes per pair and lam
-        *coeffs, (lp, l, index) = _axial_coeff_tensors(lmax, m)
+    npairs = n * (n + 1) // 2
+    if 8 * npairs * nlam <= _CACHE_BLOCK_BYTES:
+        coeffs, take = _axial_coeff_tensors(lmax, m)
         chunks = [(slice(None), coeffs)]
     else:
         lp, l, index = _pairs(lmax, m)
+        take = _gather(index)
         size = max(1, _PAIR_CHUNK_BYTES // (8 * nlam))
         chunks = ((sl, _pair_coeffs(lmax, m, lp[sl], l[sl]))
-                  for sl in (slice(lo, lo + size) for lo in range(0, l.size, size)))
-    sums = np.empty((2, len(sk), l.size))
-    for pairs, coeffs in chunks:
-        for out, coeff in zip(sums, coeffs):
-            out[:, pairs] = sk @ coeff.T
+                  for sl in (slice(lo, lo + size) for lo in range(0, npairs, size)))
+    sums = np.empty((len(sk), 2 * npairs))
+    sk_even, sk_odd = np.ascontiguousarray(sk[:, ::2]), np.ascontiguousarray(sk[:, 1::2])
+    for pairs, coeff in chunks:
+        np.matmul(sk_even, coeff[:, :lmax + 1].T, out=sums[:, :npairs][:, pairs])
+        np.matmul(sk_odd, coeff[:, lmax + 1:].T, out=sums[:, npairs:][:, pairs])
     for lo in range(0, len(sk), step):
         sl = slice(lo, lo + step)
-        blocks = sums[:, sl][..., index]
-        yield sl, blocks[0], blocks[1]
+        part = sums[sl]
+        yield sl, np.take(part, take, axis=1, out=np.empty((len(part), 2 * n, 2 * n)),
+                          mode="clip")
 
 
 def translation_block(lmax, m, xi, L):
@@ -227,9 +281,9 @@ def translation_block(lmax, m, xi, L):
     if w < _safe_w_floor(lmax):
         raise DomainError(f"xi L / c = {w:.3e} is below {_safe_w_floor(lmax):.3e}, "
                           f"where the lmax {lmax} translation block overflows")
-    _, a, c = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
+    _, k = next(_axial_sums(lmax, m, sk_array(2 * lmax + 1, w)[None], 1))
     col = (-1.0) ** (np.arange(max(1, abs(m)), lmax + 1) + m)
-    return np.block([[a[0], c[0]], [c[0], a[0]]]) * (np.exp(-w) * np.tile(col, 2))
+    return k[0] * (np.exp(-w) * np.tile(col, 2))
 
 
 def _mie_scaled(mat, R, xi, lmax, events=None):
@@ -358,8 +412,15 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
         events["xi_clamped"] += int(clamped.sum())
     x1 = nodes * sys.R1 / C_LIGHT
     x2 = nodes * sys.R2 / C_LIGHT
-    a1, b1 = _mie_scaled(sys.mat1, sys.R1, nodes, lmax, events)
-    a2, b2 = _mie_scaled(sys.mat2, sys.R2, nodes, lmax, events)
+    zeroed = Counter()
+    a1, b1 = _mie_scaled(sys.mat1, sys.R1, nodes, lmax, zeroed)
+    if (sys.mat2, sys.R2) == (sys.mat1, sys.R1):
+        # equal spheres share their amplitudes; both count their zeros
+        (a2, b2), zeroed = (a1, b1), zeroed + zeroed
+    else:
+        a2, b2 = _mie_scaled(sys.mat2, sys.R2, nodes, lmax, zeroed)
+    if events is not None:
+        events.update(zeroed)
     # common exponential: Mie e^{2x} growth against translation e^{-w} decay
     damp = np.exp(2.0 * (x1 + x2 - w))
     sk = sk_array(2 * lmax + 1, w)
@@ -372,10 +433,10 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
     # cancelling numerator of a nearly vacuum sphere, below 1e-10 of the
     # perfect mirror's (tests/test_sphere_properties.py), and is clamped to
     # 0, which is closer to the exact value.
-    q = np.concatenate([a1, -b1], axis=1)
-    p = np.concatenate([a2, -b2], axis=1)
-    rows = np.sqrt(damp)[:, None] * np.sqrt(np.maximum(-q, 0.0))
-    cols = np.sqrt(np.maximum(-p, 0.0))
+    # sqrt(max(-p, 0)) and sqrt(max(-q, 0)); q = p for equal spheres
+    cols = np.sqrt(np.maximum(np.concatenate([-a2, b2], axis=1), 0.0))
+    rows = cols if a1 is a2 else np.sqrt(np.maximum(np.concatenate([-a1, b1], axis=1), 0.0))
+    rows = np.sqrt(damp)[:, None] * rows
     total = np.zeros(nodes.size)
     sub_total = np.zeros(nodes.size)
     for m in range(0, lmax + 1):
@@ -389,10 +450,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
         step = max(1, _STACK_BYTES // (8 * (2 * n) ** 2))
         weight = 1.0 if m == 0 else 2.0
         change, sub_change = np.zeros(nodes.size), np.zeros(nodes.size)
-        for sl, a12, c12 in _axial_sums(lmax, m, sk, step):
-            g = np.empty((len(a12), 2 * n, 2 * n))
-            g[:, :n, :n] = g[:, n:, n:] = a12
-            g[:, :n, n:] = g[:, n:, :n] = c12
+        for sl, g in _axial_sums(lmax, m, sk, step):
             g *= row[sl, :, None]
             g *= col[sl, None, :]
             change[sl] = weight * log_det_one_minus(g)
@@ -400,7 +458,7 @@ def _round_trip_logdet_sum(sys: SphereSystem, xi, lmax, events=None, nested=None
                 gk = g.reshape(-1, 2, n, 2, n)[:, :, :k, :, :k].reshape(-1, 2 * k, 2 * k)
                 sub_change[sl] = weight * log_det_one_minus(gk)
             # drop this slice's stacks before the next slice is built
-            a12 = c12 = g = gk = None
+            g = gk = None
         total += change
         sub_total += sub_change
         if (np.all(np.abs(change) <= _M_CUT * np.abs(total))

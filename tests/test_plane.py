@@ -121,7 +121,7 @@ class TestEnergyPerArea:
     def test_ideal_mirror_limit(self, L):
         sys_ = PlaneSystem(PerfectMirror(), PerfectMirror(), VACUUM, L)
         res = energy_per_area(sys_)
-        assert res.value == pytest.approx(ideal_energy_per_area(L), rel=1e-6)
+        assert res.value == pytest.approx(ideal_energy_per_area(L), rel=1e-6, abs=0)
 
     def test_drude_gold_at_1um_against_mpmath(self):
         # -3.91402986003856e-10 J/m^2: the same double integral for these gold
@@ -133,7 +133,7 @@ class TestEnergyPerArea:
         assert res.metadata["orders"][-1] <= 257
 
     def test_ideal_value_magnitude_at_1um(self):
-        assert ideal_energy_per_area(1e-6) == pytest.approx(-4.3337525748e-10, rel=1e-9)
+        assert ideal_energy_per_area(1e-6) == pytest.approx(-4.3337525748e-10, rel=1e-9, abs=0)
 
     def test_no_contrast_gives_zero(self):
         m = ConstantEps(3.0)

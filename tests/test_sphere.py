@@ -340,7 +340,7 @@ class TestSphereEnergy:
             QuadratureSpec(base_order=32, tol=1e-6),
             adaptive_lmax=False,
         )
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+        assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
 
     def test_m_block_decomposition(self):
         # total log-det equals the log-det of the assembled block-diagonal
@@ -437,7 +437,7 @@ class TestBeyondDipoleOrder:
         R1, L = 1e-7, 5e-6
         a, b = (sphere_energy(SphereSystem(r1, r2, L, PEC, PEC, lmax=2), self.QUAD,
                               adaptive_lmax=False).value for r1, r2 in ((R1, R2), (R2, R1)))
-        assert b == pytest.approx(a, rel=1e-12)
+        assert b == pytest.approx(a, rel=1e-12, abs=0)
         # the leading term, exceeded by the positive (R/L)^2 correction
         assert 0 < a / _pec_series(R1, R2, L, terms=1) - 1 < 2e-3
         assert abs(a / _pec_series(R1, R2, L, terms=3) - 1) <= 1e-5
@@ -545,5 +545,5 @@ class TestMCutOff:
         tail = 9 * sphere._M_CUT * abs(res.value)
         monkeypatch.setattr(sphere, "_M_CUT", 0.0)
         bare = sphere_energy(sys_, adaptive_lmax=False)
-        assert res.error_estimate == pytest.approx(bare.error_estimate + tail, rel=1e-12)
-        assert res.value == pytest.approx(bare.value, rel=1e-14)
+        assert res.error_estimate == pytest.approx(bare.error_estimate + tail, rel=1e-12, abs=0)
+        assert res.value == pytest.approx(bare.value, rel=1e-14, abs=0)

@@ -84,6 +84,63 @@ class TestBatchedRoundTrip:
         assert np.all(a[1] != 0) and np.all(b[1] != 0)
 
 
+class TestMieOncePerCall:
+    """Equal spheres share one ``_mie_scaled`` call per integrand call and
+    count the zeroed amplitudes of both; unequal ones take one call each.
+    At R = 1e-10, L = 1e-6 and lmax 60 the high orders of the clamped
+    nodes overflow and are zeroed."""
+
+    XI = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0]) * C_LIGHT / 1e-6
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        mie = sphere._mie_scaled
+
+        def spy(*args):
+            calls.append(args[:2])
+            return mie(*args)
+
+        monkeypatch.setattr(sphere, "_mie_scaled", spy)
+        return calls
+
+    # (R2, eps2, zeroed amplitudes over both spheres, as counted when each
+    # sphere took its own call)
+    @pytest.mark.parametrize("R2, eps2, zeroed", [(1e-10, 4.0, 64), (1e-10, 9.0, 50),
+                                                  (2e-10, 4.0, 44)],
+                             ids=["equal", "other-eps", "other-radius"])
+    def test_calls_and_zeroed_amplitudes(self, monkeypatch, R2, eps2, zeroed):
+        sys_ = SphereSystem(1e-10, R2, 1e-6, ConstantEps(4.0), ConstantEps(eps2))
+        xi = np.maximum(self.XI, _safe_w_floor(60) * C_LIGHT / sys_.L)
+        each = 0
+        for mat, R in ((sys_.mat1, sys_.R1), (sys_.mat2, sys_.R2)):
+            events = Counter()
+            _mie_scaled(mat, R, xi, 60, events)
+            each += events["mie_zeroed"]
+        assert each == zeroed
+        calls = self._spy(monkeypatch)
+        events = Counter()
+        _round_trip_logdet_sum(sys_, self.XI, 60, events)
+        assert len(calls) == (1 if (R2, eps2) == (1e-10, 4.0) else 2)
+        assert events["mie_zeroed"] == zeroed
+
+    def test_one_call_per_integrand_call(self, monkeypatch):
+        sys_ = SYSTEMS["drude"]
+        integrand = []
+        round_trip = sphere._round_trip_logdet_sum
+
+        def spy(*args, **kwargs):
+            integrand.append(1)
+            return round_trip(*args, **kwargs)
+
+        monkeypatch.setattr(sphere, "_round_trip_logdet_sum", spy)
+        calls = self._spy(monkeypatch)
+        # three node sets: Gauss orders 8, 16 and 32
+        sphere_energy(sys_, quad=QuadratureSpec(base_order=8, tol=1e-9))
+        assert len(integrand) == 3
+        assert len(calls) == len(integrand)
+
+
 class TestNestedTruncation:
     """An adaptive pass at lmax checks itself against the energy at
     lmax' = min(ceil(3 lmax / 4), lmax - 1), taken from the l <= lmax'

@@ -45,7 +45,7 @@ def test_batched_and_swap_invariant(R1, R2, rel_gap, mat1, mat2):
     e21 = sphere_energy(SphereSystem(R2, R1, L, mat2, mat1, lmax=3), quad,
                         adaptive_lmax=False).value
     assert e12 < 0
-    assert e21 == pytest.approx(e12, rel=1e-12)
+    assert e21 == pytest.approx(e12, rel=1e-12, abs=0)
 
 
 PAIR_MATERIALS = st.one_of(
@@ -79,7 +79,7 @@ def test_energy_negative_monotone_and_swap_invariant(R1, R2, rel_gap, lmax, mat1
     assert all(abs(far) < abs(close) for close, far in zip(energies, energies[1:]))
     swapped = sphere_energy(SphereSystem(R2, R1, near, mat2, mat1, lmax=lmax),
                             adaptive_lmax=False).value
-    assert swapped == pytest.approx(energies[0], rel=1e-12)
+    assert swapped == pytest.approx(energies[0], rel=1e-12, abs=0)
 
 
 # every model the API accepts, up to a plasma frequency of 1e17 rad/s; far

@@ -88,6 +88,64 @@ class TestAgainstSympy:
             assert wigner3j(*args) == pytest.approx(want, rel=1e-13)
 
 
+class TestRowsFarFromTheOrigin:
+    """Rows (j1 j2 lam; m -m 0) of the sizes the lmax-50 and lmax-100
+    translation blocks use, against sympy, and the triangle that
+    ``band=True`` returns."""
+
+    @pytest.mark.parametrize("j1, j2, m", [(50, 26, 24), (50, 50, 25)])
+    def test_whole_row(self, j1, j2, m):
+        row = wigner3j(j1, j2, None, m, -m, 0)
+        want = [exact3j(j1, j2, lam, m, -m, 0) for lam in range(j1 + j2 + 1)]
+        np.testing.assert_allclose(row, want, rtol=0, atol=2e-16)
+
+    def test_spot_entries_at_j_100(self):
+        row = wigner3j(100, 60, None, 40, -40, 0)
+        for lam in (40, 41, 57, 80, 99, 120, 141, 159, 160):
+            assert row[lam] == pytest.approx(exact3j(100, 60, lam, 40, -40, 0), rel=1e-14, abs=0)
+        assert not row[:40].any()
+
+    def test_band_is_the_triangle_of_the_dense_rows(self):
+        j1, j2 = np.array([[50], [26], [3]]), np.array([26, 50, 60])
+        for m1, m2, m3 in ((24, -24, 0), (0, 0, 0), (2, -1, -1)):
+            dense = wigner3j(j1, j2, None, m1, m2, m3)
+            band = wigner3j(j1, j2, None, m1, m2, m3, band=True)
+            lo = np.maximum(abs(j1 - j2), abs(m3))
+            width = int(np.max(j1 + j2 - lo)) + 1
+            assert band.shape == (3, 3, width)
+            for a in range(3):
+                for b in range(3):
+                    k = j1[a, 0] + j2[b] - lo[a, b] + 1
+                    assert np.array_equal(band[a, b, :k], dense[a, b, lo[a, b]:lo[a, b] + k])
+                    assert not band[a, b, k:].any()
+
+
+@pytest.mark.parametrize("m", [0, 1, 12, 24])
+def test_blocks_at_lmax_50_against_the_documented_formula(m):
+    # the m-blocks that the L/R = 2.2 pair's pass builds; the reference
+    # assembles every [l', l, lam] of cA and cC from dense 3j rows, by the
+    # formula in _pair_coeffs' docstring, and sums them over lam
+    lmax = 50
+    sk = sk_array(2 * lmax + 1, np.array([0.5, 2.0, 9.0]))
+    ls = np.arange(max(1, m), lmax + 1)
+    lp, l = ls[:, None], ls[None, :]
+    lam = np.arange(2 * lmax + 2)
+    tm = np.zeros((ls.size, ls.size, lam.size + 1))
+    t0 = np.zeros_like(tm)  # t0[..., lam + 1] holds (l l' lam; 0 0 0)
+    tm[..., :2 * lmax + 1] = wigner3j(lp, l, None, m, -m, 0)
+    t0[..., 1:2 * lmax + 2] = wigner3j(l, lp, None, 0, 0, 0)
+    tm = tm[..., :-1]
+    norm = (np.sqrt((2 * l + 1) * (2 * lp + 1) / (l * (l + 1.0) * lp * (lp + 1))) / np.pi)[..., None]
+    c_a = norm * (2 * lam + 1) * t0[..., 1:] * tm * ((l * (l + 1) + lp * (lp + 1))[..., None]
+                                                    - lam * (lam + 1))
+    root = (lam**2 - ((l - lp) ** 2)[..., None]) * (((l + lp + 1) ** 2)[..., None] - lam**2)
+    c_c = norm * (2 * lam + 1) * t0[..., :-1] * tm * np.sqrt(np.maximum(root, 0))
+    a, c = (np.einsum("ijl,kl->kij", coeff, sk) for coeff in (c_a, c_c))
+    want = np.block([[a, c], [c, a]])
+    got = np.concatenate([k for _, k in _axial_sums(lmax, m, sk, 2)])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("j", [10, 50, 100, 200])
 def test_orthogonality_to_j_200(j):
     j3 = np.arange(2 * j + 1)
@@ -129,10 +187,22 @@ def _loop_coefficients(lmax, m):
     return lmin, cA, cC
 
 
-def _full_tensors(lmax, m, pairs):
+def _split(lmax, m, c):
+    """(cA, cC) as two (pairs, 2 lmax + 2) arrays indexed by lam, from
+    ``_pair_coeffs``'s one array of columns lam = 0, 2, .. then 1, 3, ..:
+    cA holds the lam of the parity of l + l', cC the others."""
+    lps, ls, _ = _pairs(lmax, m)
+    lam = np.arange(2 * lmax + 2)
+    dense = c[:, lam // 2 + (lam % 2) * (lmax + 1)]
+    same = (lam + (lps + ls)[:, None]) % 2 == 0
+    return np.where(same, dense, 0.0), np.where(same, 0.0, dense)
+
+
+def _full_tensors(lmax, m, c):
     """(l_min, cA, cC) as (n, n, 2 lmax + 2) tensors from the coefficients
-    (cA, cC) of the pairs l' <= l, filled in entry by entry with the
+    c of the pairs l' <= l (``_split``), filled in entry by entry with the
     symmetry c[l, l'] = c[l', l]."""
+    pairs = _split(lmax, m, c)
     lps, ls, _ = _pairs(lmax, m)
     lmin = max(1, m)
     n = lmax - lmin + 1
@@ -147,7 +217,7 @@ def _full_tensors(lmax, m, pairs):
 @pytest.mark.parametrize("lmax", range(1, 7))
 def test_coefficients_match_loop_with_exact_3j(lmax):
     for m in range(lmax + 1):
-        lmin, cA, cC = _full_tensors(lmax, m, _axial_coeff_tensors(lmax, m)[:2])
+        lmin, cA, cC = _full_tensors(lmax, m, _axial_coeff_tensors(lmax, m)[0])
         want_lmin, want_a, want_c = _loop_coefficients(lmax, m)
         assert lmin == want_lmin
         scale = max(np.abs(want_a).max(), np.abs(want_c).max())
@@ -180,9 +250,12 @@ def test_large_block_sums_match_its_tensors(m):
         sk = sk_array(2 * lmax + 1, np.array([0.5, 2.0, 9.0]))
         lps, ls, _ = _pairs(lmax, m)
         pairs = _pair_coeffs(lmax, m, lps, ls)
-        assert (16 * pairs[0].size <= 2**19) == cached
+        assert (16 * pairs.size <= 2**19) == cached
         _, cA, cC = _full_tensors(lmax, m, pairs)
-        for sl, a, c in _axial_sums(lmax, m, sk, 2):
+        n = len(cA)
+        for sl, k in _axial_sums(lmax, m, sk, 2):
+            a, c = k[:, :n, :n], k[:, :n, n:]
+            assert np.array_equal(k[:, n:, n:], a) and np.array_equal(k[:, n:, :n], c)
             for got, coeff in ((a, cA), (c, cC)):
                 want = np.einsum("ijl,kl->kij", coeff, sk[sl])
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -193,8 +266,8 @@ def test_large_block_never_holds_its_tensors():
     sk = sk_array(201, np.array([6.0, 30.0]))
     tracemalloc.start()
     try:
-        for _, a, c in _axial_sums(100, 0, sk, 1):
-            assert a.shape == c.shape == (1, 100, 100)
+        for _, k in _axial_sums(100, 0, sk, 1):
+            assert k.shape == (1, 200, 200)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
